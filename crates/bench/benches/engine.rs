@@ -8,7 +8,6 @@ use std::hint::black_box;
 
 use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::obs::{Event, Observer, TimedEvent};
-use lp_sim::trace::TraceRing;
 use lp_sim::{EventQueue, SimDur, SimTime};
 use lp_stats::Histogram;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist, Zipf};
@@ -217,19 +216,6 @@ fn bench_tracing(c: &mut Criterion) {
                 );
             }
             black_box(obs.metrics().snapshot().counters.len())
-        })
-    });
-    // ...versus the legacy string ring it replaced (per-push format!).
-    g.bench_function("string_ring_push_100k", |b| {
-        let mut ring = TraceRing::new(4_096);
-        b.iter(|| {
-            for i in 0..100_000u64 {
-                ring.push(
-                    SimTime::from_nanos(i),
-                    format!("preempt fiber {} on worker {} (ran 10000ns)", i, i % 8),
-                );
-            }
-            black_box(ring.len())
         })
     });
     // Counters only — the always-on production configuration.

@@ -7,7 +7,7 @@
 //! scores at any job count, which is what lets the search fan out and
 //! the corpus replay byte-identically.
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::runtime::{
     run, AdmissionConfig, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };

@@ -5,7 +5,7 @@ use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_baselines::{run_libinger, run_shinjuku, LibingerConfig, ShinjukuConfig};

@@ -16,7 +16,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
 
 use crate::common::Scale;

@@ -11,7 +11,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::{FcfsPreempt, NonPreemptive};
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
@@ -80,7 +80,7 @@ pub fn run_fig10(scale: Scale, seed: u64) -> Vec<RpcPoint> {
         };
         let base = run(
             mk_cfg(PreemptMech::None),
-            Box::new(NonPreemptive) as Box<dyn SchedPolicy>,
+            Box::new(FcfsPreempt::fixed(SimDur::MAX)) as Box<dyn SchedPolicy>,
             mk_spec(),
         );
         // The server "uses no preemption by default": the library

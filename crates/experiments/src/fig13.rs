@@ -12,7 +12,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{ColocatedWorkload, RateSchedule};
 
-use libpreemptible::policy::{ClassQuantum, FcfsPreempt, NonPreemptive};
+use libpreemptible::policies::{ClassQuantum, FcfsPreempt};
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
@@ -96,7 +96,7 @@ pub fn run_left(scale: Scale, seed: u64) -> Vec<ColocPoint> {
             )
         } else {
             run_point(
-                Box::new(NonPreemptive),
+                Box::new(FcfsPreempt::fixed(SimDur::MAX)),
                 "LC-Base (no preemption)".into(),
                 PreemptMech::None,
                 k * 1_000.0,
@@ -120,7 +120,7 @@ pub fn run_right(scale: Scale, seed: u64) -> Vec<ColocPoint> {
         .collect();
     runner::map_points("fig13-right", &points, |_, &q| match q {
         None => run_point(
-            Box::new(NonPreemptive),
+            Box::new(FcfsPreempt::fixed(SimDur::MAX)),
             "no preemption".into(),
             PreemptMech::None,
             55_000.0,

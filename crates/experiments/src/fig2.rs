@@ -10,7 +10,7 @@ use lp_sim::SimDur;
 use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::{FcfsPreempt, NonPreemptive};
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
@@ -60,7 +60,7 @@ pub fn run_fig2(scale: Scale, seed: u64) -> Vec<QuantumPoint> {
             warmup: scale.warmup(),
         };
         let (policy, mech): (Box<dyn SchedPolicy>, PreemptMech) = match q {
-            None => (Box::new(NonPreemptive), PreemptMech::None),
+            None => (Box::new(FcfsPreempt::fixed(SimDur::MAX)), PreemptMech::None),
             Some(us) => (
                 Box::new(FcfsPreempt::fixed(SimDur::micros(*us))),
                 PreemptMech::Uintr,

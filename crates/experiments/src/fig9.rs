@@ -10,7 +10,7 @@ use lp_stats::Table;
 use lp_workload::RateSchedule;
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::report::RunReport;
 use libpreemptible::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
 

@@ -21,7 +21,7 @@ use lp_sim::SimDur;
 use lp_workload::RateSchedule;
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policies::{AdaptiveQuantum, Edf, Fifo, Mlfq, Srpt, Vruntime};
+use libpreemptible::policies::{Edf, FcfsPreempt, Mlfq, Srpt, Vruntime};
 use libpreemptible::runtime::{run, RuntimeConfig, ServiceSource, WorkloadSpec};
 use libpreemptible::sched::SchedPolicy;
 
@@ -54,9 +54,9 @@ pub const SLO: SimDur = SimDur::micros(100);
 const WORKERS: usize = 4;
 
 /// Builds a tournament entrant by name. The adaptive-quantum entrant
-/// is tuned exactly like the figure modules tune the legacy policy
-/// (paper defaults against saturation throughput, controller period =
-/// the runtime's control period).
+/// is tuned exactly like the figure modules tune
+/// `FcfsPreempt::adaptive` (paper defaults against saturation
+/// throughput, controller period = the runtime's control period).
 pub fn make_policy(
     name: &str,
     max_load_rps: f64,
@@ -66,7 +66,7 @@ pub fn make_policy(
         "adaptive-quantum" => {
             let mut a = AdaptiveConfig::paper_defaults(max_load_rps);
             a.period = control_period;
-            Box::new(AdaptiveQuantum::new(QuantumController::new(
+            Box::new(FcfsPreempt::adaptive(QuantumController::new(
                 a,
                 SimDur::micros(10),
             )))
@@ -76,7 +76,7 @@ pub fn make_policy(
             SimDur::micros(100),
             SimDur::millis(1),
         )),
-        "fifo" => Box::new(Fifo::new(SimDur::micros(10))),
+        "fifo" => Box::new(FcfsPreempt::fixed(SimDur::micros(10))),
         "mlfq" => Box::new(Mlfq::new(SimDur::micros(5), 4)),
         "srpt" => Box::new(Srpt::new(SimDur::micros(10))),
         "vruntime" => Box::new(Vruntime::new(SimDur::micros(10))),

@@ -13,7 +13,7 @@ use lp_sim::fault::{FaultKind, FaultPlan};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
-use libpreemptible::policy::FcfsPreempt;
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::runtime::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 
 use crate::common::Scale;

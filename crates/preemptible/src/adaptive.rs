@@ -77,7 +77,8 @@ impl AdaptiveConfig {
 ///
 /// ```
 /// use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-/// use lp_sim::SimDur;
+/// use lp_sim::obs::Observer;
+/// use lp_sim::{SimDur, SimTime};
 /// use lp_stats::WindowSummary;
 ///
 /// let cfg = AdaptiveConfig::paper_defaults(100_000.0);
@@ -93,7 +94,7 @@ impl AdaptiveConfig {
 ///     arrived: 950_000,
 ///     service_scv: 140.0,
 /// };
-/// let q = ctl.update(&summary);
+/// let q = ctl.update(&summary, SimTime::ZERO, &mut Observer::counters_only());
 /// assert!(q < SimDur::micros(30));
 /// ```
 #[derive(Debug, Clone)]
@@ -130,11 +131,14 @@ impl QuantumController {
         self.updates
     }
 
-    /// Applies one control period's Algorithm 1 step and returns the
-    /// new quantum.
-    pub fn update(&mut self, s: &WindowSummary) -> SimDur {
+    /// Applies one control period's Algorithm 1 step, closing at `at`,
+    /// and returns the new quantum. Emits a `quantum_adjusted` event
+    /// through `obs` when the quantum actually moved; the `quantum_ns`
+    /// gauge follows either way.
+    pub fn update(&mut self, s: &WindowSummary, at: SimTime, obs: &mut Observer) -> SimDur {
+        let old = self.quantum;
         self.updates += 1;
-        let mut tq = self.quantum;
+        let mut tq = old;
         // Line 5: fit the tail from past statistics. Latency
         // dispersion alone is a moving target — once preemption tames
         // the tail it looks light and the loop would oscillate — so
@@ -183,39 +187,31 @@ impl QuantumController {
             tq = tq.saturating_add(self.cfg.k3).min(self.cfg.t_max);
         }
         self.quantum = tq.clamp(self.cfg.t_min, self.cfg.t_max);
-        self.quantum
-    }
-
-    /// [`update`](Self::update) plus a `quantum_adjusted` event when the
-    /// quantum actually moved; the `quantum_ns` gauge follows either
-    /// way.
-    pub fn update_observed(
-        &mut self,
-        s: &WindowSummary,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> SimDur {
-        let old = self.quantum;
-        let new = self.update(s);
-        if new != old {
+        if self.quantum != old {
             obs.emit(
                 at,
                 Event::QuantumAdjusted {
                     old_ns: old.as_nanos(),
-                    new_ns: new.as_nanos(),
+                    new_ns: self.quantum.as_nanos(),
                 },
             );
         } else {
             obs.metrics_mut()
-                .set_gauge(lp_sim::obs::Gauge::QuantumNs, new.as_nanos() as f64);
+                .set_gauge(lp_sim::obs::Gauge::QuantumNs, self.quantum.as_nanos() as f64);
         }
-        new
+        self.quantum
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lp_sim::obs::{Counter, Gauge};
+
+    /// One control step with a throwaway observer.
+    fn step(c: &mut QuantumController, s: &WindowSummary) -> SimDur {
+        c.update(s, SimTime::ZERO, &mut Observer::counters_only())
+    }
 
     fn cfg() -> AdaptiveConfig {
         let mut c = AdaptiveConfig::paper_defaults(100_000.0);
@@ -246,7 +242,7 @@ mod tests {
         // Light tail: exp-like ratio ~6.6 -> alpha > 2, queues short.
         // High load shrinks by k1 but the dispersion rule grows by k3:
         // slicing a light-tailed workload finer buys nothing.
-        let q = c.update(&summary(95_000.0, 5.0, 33.0, 1.0));
+        let q = step(&mut c, &summary(95_000.0, 5.0, 33.0, 1.0));
         assert_eq!(q, SimDur::micros(30 - 4 + 10));
     }
 
@@ -254,14 +250,14 @@ mod tests {
     fn heavy_tail_shrinks_by_k2() {
         let mut c = QuantumController::new(cfg(), SimDur::micros(30));
         // Mid load, heavy tail (p99/median = 400).
-        let q = c.update(&summary(50_000.0, 1.0, 400.0, 1.0));
+        let q = step(&mut c, &summary(50_000.0, 1.0, 400.0, 1.0));
         assert_eq!(q, SimDur::micros(26));
     }
 
     #[test]
     fn high_load_and_heavy_tail_shrink_twice() {
         let mut c = QuantumController::new(cfg(), SimDur::micros(30));
-        let q = c.update(&summary(95_000.0, 1.0, 400.0, 20.0));
+        let q = step(&mut c, &summary(95_000.0, 1.0, 400.0, 20.0));
         assert_eq!(q, SimDur::micros(22));
     }
 
@@ -269,7 +265,7 @@ mod tests {
     fn low_load_grows() {
         let mut c = QuantumController::new(cfg(), SimDur::micros(30));
         // Low load (+k3) and light tail (+k3), clamped at t_max.
-        let q = c.update(&summary(5_000.0, 5.0, 33.0, 0.1));
+        let q = step(&mut c, &summary(5_000.0, 5.0, 33.0, 0.1));
         assert_eq!(q, SimDur::micros(50));
     }
 
@@ -278,12 +274,12 @@ mod tests {
         let mut c = QuantumController::new(cfg(), SimDur::micros(4));
         // Repeated shrink pressure can never go below 3 us.
         for _ in 0..10 {
-            c.update(&summary(99_000.0, 1.0, 500.0, 50.0));
+            step(&mut c, &summary(99_000.0, 1.0, 500.0, 50.0));
         }
         assert_eq!(c.quantum(), SimDur::micros(3));
         // Repeated growth pressure can never exceed 50 us.
         for _ in 0..10 {
-            c.update(&summary(1_000.0, 5.0, 33.0, 0.0));
+            step(&mut c, &summary(1_000.0, 5.0, 33.0, 0.0));
         }
         assert_eq!(c.quantum(), SimDur::micros(50));
         assert_eq!(c.updates(), 20);
@@ -300,18 +296,17 @@ mod tests {
     #[test]
     fn queue_threshold_triggers_without_heavy_tail() {
         let mut c = QuantumController::new(cfg(), SimDur::micros(30));
-        let q = c.update(&summary(50_000.0, 5.0, 33.0, 20.0));
+        let q = step(&mut c, &summary(50_000.0, 5.0, 33.0, 20.0));
         assert_eq!(q, SimDur::micros(26));
     }
 
     #[test]
-    fn observed_update_emits_on_change_only() {
-        use lp_sim::obs::{Counter, Gauge, Observer};
+    fn update_emits_on_change_only() {
         let mut c = QuantumController::new(cfg(), SimDur::micros(30));
         let mut obs = Observer::new(8);
         let at = SimTime::from_nanos(10_000_000);
         // Heavy tail: 30 → 26 us, one event.
-        let q = c.update_observed(&summary(50_000.0, 1.0, 400.0, 1.0), at, &mut obs);
+        let q = c.update(&summary(50_000.0, 1.0, 400.0, 1.0), at, &mut obs);
         assert_eq!(q, SimDur::micros(26));
         assert_eq!(obs.metrics().get(Counter::QuantumAdjustments), 1);
         assert_eq!(obs.metrics().gauge(Gauge::QuantumNs), 26_000.0);
@@ -322,7 +317,7 @@ mod tests {
         // Pinned at t_min: repeated shrink pressure stops emitting once
         // the quantum can no longer move, but the gauge stays fresh.
         for _ in 0..10 {
-            c.update_observed(&summary(99_000.0, 1.0, 500.0, 50.0), at, &mut obs);
+            c.update(&summary(99_000.0, 1.0, 500.0, 50.0), at, &mut obs);
         }
         assert_eq!(c.quantum(), SimDur::micros(3));
         assert!(obs.metrics().get(Counter::QuantumAdjustments) < 11);
@@ -336,7 +331,7 @@ mod tests {
         let mut c = QuantumController::new(cfg(), SimDur::micros(30));
         let mut s = summary(0.0, 0.0, 0.0, 0.0);
         s.completed = 0;
-        let q = c.update(&s);
+        let q = step(&mut c, &s);
         assert_eq!(q, SimDur::micros(40));
     }
 }

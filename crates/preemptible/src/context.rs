@@ -198,19 +198,6 @@ impl ContextPool {
         Some(id)
     }
 
-    /// Takes the parked context with the smallest remaining work
-    /// (used by the SRPT policy).
-    pub fn take_parked_srpt(&mut self) -> Option<ContextId> {
-        let (pos, _) = self
-            .running_list
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, id)| self.slots[id.0].remaining)?;
-        let id = self.running_list.remove(pos).expect("index in range");
-        self.states[id.0] = SlotState::Active;
-        Some(id)
-    }
-
     /// Returns a completed context to the free list (`fn_completed` →
     /// reuse).
     ///
@@ -355,19 +342,6 @@ mod tests {
         assert_eq!(p.take_parked(), Some(a));
         assert_eq!(p.take_parked(), Some(b));
         assert_eq!(p.take_parked(), None);
-    }
-
-    #[test]
-    fn srpt_takes_shortest_remaining() {
-        let mut p = pool();
-        let a = alloc(&mut p, 1); // work 2us
-        let b = alloc(&mut p, 9); // work 10us
-        p.get_mut(a).remaining = SimDur::micros(8);
-        p.get_mut(b).remaining = SimDur::micros(3);
-        p.park(a);
-        p.park(b);
-        assert_eq!(p.take_parked_srpt(), Some(b));
-        assert_eq!(p.take_parked_srpt(), Some(a));
     }
 
     #[test]

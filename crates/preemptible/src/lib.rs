@@ -13,7 +13,7 @@
 //! |---|---|
 //! | `fn_launch` / `fn_resume` / `fn_completed` + context pool | [`context::ContextPool`] (allocate / park / take_parked / release) |
 //! | LibUtimer (`utimer_init/register/arm_deadline`) | [`utimer::UtimerRegistry`], [`utimer::TimingWheel`] |
-//! | scheduling policies on the library API | [`sched::SchedPolicy`] (select_cpu / enqueue / dispatch / time_slice), the [`policies`] zoo, and the legacy [`policy::Policy`] adapter |
+//! | scheduling policies on the library API | [`sched::SchedPolicy`] (select_cpu / enqueue / dispatch / time_slice) and the [`policies`] zoo |
 //! | Algorithm 1 (adaptive time quantum) | [`adaptive::QuantumController`] |
 //! | the runtime: dispatcher + workers + timer core | [`runtime::run`] |
 //!
@@ -44,7 +44,6 @@
 pub mod adaptive;
 pub mod context;
 pub mod policies;
-pub mod policy;
 pub mod report;
 pub mod retry;
 pub mod runtime;
@@ -53,10 +52,8 @@ pub mod utimer;
 
 pub use adaptive::{AdaptiveConfig, QuantumController};
 pub use context::{Context, ContextId, ContextPool};
-pub use policies::{AdaptiveQuantum, Edf, Fifo, Mlfq, Srpt, Vruntime};
-pub use policy::{
-    ClassQuantum, FcfsPreempt, NextTask, NonPreemptive, Policy, QuantumSource, ResumeOrder,
-    RoundRobin, SrptOracle,
+pub use policies::{
+    ClassQuantum, Edf, FcfsPreempt, Mlfq, QuantumSource, RoundRobin, Srpt, Vruntime,
 };
 pub use sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 pub use report::RunReport;

@@ -4,7 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use lp_sim::SimDur;
+use lp_sim::obs::Observer;
+use lp_sim::{SimDur, SimTime};
 use lp_stats::WindowSummary;
 
 use crate::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
@@ -43,13 +44,7 @@ impl SchedPolicy for Mlfq {
     fn dispatch(&mut self, _cpu: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
         // New work is level 0 — the highest priority — so it runs
         // first; parked work resumes lowest-level-first.
-        if ctx.runnable > 0 {
-            Dispatch::New
-        } else if ctx.parked > 0 {
-            Dispatch::Parked(ResumeSel::MinKey)
-        } else {
-            Dispatch::Idle
-        }
+        Dispatch::new_first(ctx, ResumeSel::MinKey)
     }
 
     fn time_slice(&mut self, task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {
@@ -74,7 +69,7 @@ impl SchedPolicy for Mlfq {
         self.level.remove(&task.request);
     }
 
-    fn on_window(&mut self, _summary: &WindowSummary) {
+    fn on_window(&mut self, _summary: &WindowSummary, _at: SimTime, _obs: &mut Observer) {
         // Priority boost: forgive all demotions each control window.
         self.level.clear();
     }
@@ -83,8 +78,6 @@ impl SchedPolicy for Mlfq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lp_sim::obs::Observer;
-    use lp_sim::SimTime;
 
     fn task(request: u64) -> TaskView {
         TaskView {
@@ -141,7 +134,7 @@ mod tests {
             completed: 0,
             arrived: 0,
             service_scv: 0.0,
-        });
+        }, SimTime::ZERO, &mut Observer::counters_only());
         assert_eq!(p.resume_key(&cold), 0, "boost forgives demotions");
     }
 

@@ -8,9 +8,8 @@ use crate::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 /// SRPT over the parked set: resume whichever preempted task is
 /// closest to finishing. Mean-latency-optimal in theory; only possible
 /// here because the simulation knows true remaining work (a real
-/// system would estimate it). Behaviorally identical to the legacy
-/// [`SrptOracle`](crate::policy::SrptOracle), but expressed through the
-/// generic [`ResumeSel::MinKey`] path instead of a bespoke pool method.
+/// system would estimate it). The upper-bound comparator, since
+/// service times are unknown upfront in practice (§I).
 #[derive(Debug, Clone)]
 pub struct Srpt {
     slice: SimDur,
@@ -29,13 +28,7 @@ impl SchedPolicy for Srpt {
     }
 
     fn dispatch(&mut self, _cpu: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        if ctx.runnable > 0 {
-            Dispatch::New
-        } else if ctx.parked > 0 {
-            Dispatch::Parked(ResumeSel::MinKey)
-        } else {
-            Dispatch::Idle
-        }
+        Dispatch::new_first(ctx, ResumeSel::MinKey)
     }
 
     fn time_slice(&mut self, _task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {

@@ -35,13 +35,7 @@ impl SchedPolicy for Vruntime {
     fn dispatch(&mut self, _cpu: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
         // New tasks hold the minimum vruntime (zero), so they go first;
         // parked tasks resume least-run-first.
-        if ctx.runnable > 0 {
-            Dispatch::New
-        } else if ctx.parked > 0 {
-            Dispatch::Parked(ResumeSel::MinKey)
-        } else {
-            Dispatch::Idle
-        }
+        Dispatch::new_first(ctx, ResumeSel::MinKey)
     }
 
     fn time_slice(&mut self, _task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {

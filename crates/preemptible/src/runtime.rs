@@ -339,6 +339,9 @@ pub struct LibPreemptibleSystem {
     workers: Vec<Worker>,
     pool: ContextPool,
     registry: UtimerRegistry,
+    /// Slots fired by the last timer poll (reused across polls to keep
+    /// the hot path allocation-free).
+    fired: Vec<SlotId>,
     uintr: UintrDomain,
     timer_uitt: Uitt,
     /// (worker, seq) the armed deadline of each slot belongs to.
@@ -448,6 +451,7 @@ impl LibPreemptibleSystem {
                 .enabled()
                 .then(|| FaultInjector::new(cfg.faults.clone(), cfg.seed)),
             pool: ContextPool::with_capacity(cfg.pool_capacity),
+            fired: Vec::with_capacity(cfg.workers),
             registry,
             uintr,
             timer_uitt,
@@ -831,7 +835,6 @@ impl LibPreemptibleSystem {
             Dispatch::Parked(sel) => {
                 let id = match sel {
                     ResumeSel::Fifo => self.pool.take_parked(),
-                    ResumeSel::Srpt => self.pool.take_parked_srpt(),
                     ResumeSel::MinKey => {
                         // Smallest policy key wins; `min_by_key` keeps
                         // the first (oldest) on ties.
@@ -854,9 +857,10 @@ impl LibPreemptibleSystem {
 
     fn deliver_preemptions(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        let fired = self.registry.expired_observed(now, &mut self.obs);
+        let mut fired = std::mem::take(&mut self.fired);
+        self.registry.poll(now, &mut fired, &mut self.obs);
         let mut issue_at = now;
-        for slot in fired {
+        for &slot in &fired {
             let Some((worker, seq)) = self.armed_for[slot.index()].take() else {
                 continue;
             };
@@ -891,6 +895,7 @@ impl LibPreemptibleSystem {
                 _ => unreachable!("timer core disabled for {:?}", self.cfg.mech),
             }
         }
+        self.fired = fired;
         self.update_timer_check(ctx);
     }
 
@@ -1562,7 +1567,7 @@ impl Model for LibPreemptibleSystem {
             Ev::ControlTick => {
                 let now = ctx.now();
                 let summary = self.window.roll(now.as_nanos());
-                self.policy.on_window_observed(&summary, now, &mut self.obs);
+                self.policy.on_window(&summary, now, &mut self.obs);
                 self.last_window = Some(summary);
                 if let Some(ts) = self.quantum_series.as_mut() {
                     let q = self.policy.quantum_hint(0);
@@ -1683,7 +1688,7 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FcfsPreempt, NonPreemptive};
+    use crate::policies::FcfsPreempt;
     use lp_workload::ServiceDist;
 
     fn spec(rate: f64, ms: u64) -> WorkloadSpec {
@@ -1767,7 +1772,7 @@ mod tests {
     fn nonpreemptive_never_preempts() {
         let r = run(
             small_cfg(PreemptMech::None),
-            Box::new(NonPreemptive),
+            Box::new(FcfsPreempt::fixed(SimDur::MAX)),
             spec(100_000.0, 50),
         );
         assert_eq!(r.preemptions, 0);
@@ -1792,7 +1797,7 @@ mod tests {
         );
         let non = run(
             small_cfg(PreemptMech::None),
-            Box::new(NonPreemptive),
+            Box::new(FcfsPreempt::fixed(SimDur::MAX)),
             mk_spec(),
         );
         assert!(pre.is_conserved() && non.is_conserved());

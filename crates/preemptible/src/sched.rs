@@ -12,12 +12,6 @@
 //! the typed [`Observer`] so policies can emit
 //! events and bump gauges without side channels.
 //!
-//! The original, narrower [`Policy`] trait stays as the compatibility
-//! surface: a blanket adapter maps any `Policy` onto `SchedPolicy` with
-//! *byte-identical* behavior (same decision sequence, no extra RNG
-//! draws or cost charges), so all pre-existing call sites and pinned
-//! figure numbers are preserved verbatim.
-//!
 //! Authoring guidance — hook ordering, determinism rules, worked
 //! examples — lives in `docs/POLICIES.md`. Ready-made policies live in
 //! [`crate::policies`].
@@ -25,8 +19,6 @@
 use lp_sim::obs::Observer;
 use lp_sim::{SimDur, SimTime};
 use lp_stats::WindowSummary;
-
-use crate::policy::{NextTask, Policy, ResumeOrder};
 
 /// Read-only snapshot of one runnable or parked task, handed to policy
 /// hooks. Copied out of the runtime's context pool — policies never see
@@ -102,8 +94,6 @@ pub enum Enqueue {
 pub enum ResumeSel {
     /// Oldest parked first (arrival order).
     Fifo,
-    /// Shortest remaining processing time first (oracle knowledge).
-    Srpt,
     /// Minimum of [`SchedPolicy::resume_key`]; ties break oldest-first.
     MinKey,
 }
@@ -118,6 +108,20 @@ pub enum Dispatch {
     Parked(ResumeSel),
     /// Run nothing; the worker idles until the next dispatch or pick.
     Idle,
+}
+
+impl Dispatch {
+    /// The new-work-first choice most policies make: a new request if
+    /// one is visible, else a parked task chosen per `sel`, else idle.
+    pub fn new_first(ctx: &SchedCtx<'_>, sel: ResumeSel) -> Dispatch {
+        if ctx.runnable > 0 {
+            Dispatch::New
+        } else if ctx.parked > 0 {
+            Dispatch::Parked(sel)
+        } else {
+            Dispatch::Idle
+        }
+    }
 }
 
 /// The full scheduling-policy contract: placement, queueing, next-task
@@ -179,59 +183,18 @@ pub trait SchedPolicy {
         let _ = task;
     }
 
-    /// Control-window hook without observability access.
-    fn on_window(&mut self, summary: &WindowSummary) {
-        let _ = summary;
-    }
-
-    /// Control-window hook with observability access; the default
-    /// delegates to [`SchedPolicy::on_window`].
-    fn on_window_observed(&mut self, summary: &WindowSummary, at: SimTime, obs: &mut Observer) {
-        let _ = (at, obs);
-        self.on_window(summary);
-    }
-}
-
-/// Blanket adapter: every legacy [`Policy`] is a [`SchedPolicy`] with
-/// byte-identical behavior. `?Sized` makes `Box<dyn Policy>` itself a
-/// `SchedPolicy`, so pre-existing trait objects keep working.
-impl<P: Policy + ?Sized> SchedPolicy for P {
-    fn name(&self) -> &'static str {
-        Policy::name(self)
-    }
-
-    fn dispatch(&mut self, _cpu: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        match self.next_task(ctx.runnable, ctx.parked) {
-            NextTask::New => Dispatch::New,
-            NextTask::Preempted => Dispatch::Parked(match self.resume_order() {
-                ResumeOrder::Fifo => ResumeSel::Fifo,
-                ResumeOrder::Srpt => ResumeSel::Srpt,
-            }),
-            NextTask::Idle => Dispatch::Idle,
-        }
-    }
-
-    fn time_slice(&mut self, task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {
-        self.quantum(task.class)
-    }
-
-    fn quantum_hint(&self, class: u8) -> SimDur {
-        self.quantum(class)
-    }
-
-    fn on_window(&mut self, summary: &WindowSummary) {
-        Policy::on_window(self, summary);
-    }
-
-    fn on_window_observed(&mut self, summary: &WindowSummary, at: SimTime, obs: &mut Observer) {
-        Policy::on_window_observed(self, summary, at, obs);
+    /// Receives each control window's summary as the window closes at
+    /// `at`. Adaptive policies retune here and may report the change
+    /// through `obs`.
+    fn on_window(&mut self, summary: &WindowSummary, at: SimTime, obs: &mut Observer) {
+        let _ = (summary, at, obs);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{FcfsPreempt, NonPreemptive, RoundRobin, SrptOracle};
+    use crate::policies::FcfsPreempt;
 
     fn ctx<'a>(
         depths: &'a [usize],
@@ -249,11 +212,11 @@ mod tests {
         }
     }
 
-    fn task() -> TaskView {
+    fn task(arrived_ns: u64) -> TaskView {
         TaskView {
             request: 7,
             fiber: 0,
-            arrived: SimTime::ZERO,
+            arrived: SimTime::from_nanos(arrived_ns),
             remaining: SimDur::micros(5),
             total: SimDur::micros(5),
             preemptions: 0,
@@ -262,50 +225,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_adapter_maps_next_task_onto_dispatch() {
+    fn new_first_prefers_new_then_parked_then_idles() {
         let mut obs = Observer::counters_only();
-        let mut p: Box<dyn Policy> = Box::new(FcfsPreempt::fixed(SimDur::micros(10)));
-        // New-first when something is queued.
-        let d = SchedPolicy::dispatch(&mut *p, 0, &mut ctx(&[1, 0], 1, 3, &mut obs));
-        assert_eq!(d, Dispatch::New);
-        // Parked FIFO when only parked work exists.
-        let d = SchedPolicy::dispatch(&mut *p, 0, &mut ctx(&[0, 0], 0, 3, &mut obs));
-        assert_eq!(d, Dispatch::Parked(ResumeSel::Fifo));
-        // Nothing at all → idle.
-        let d = SchedPolicy::dispatch(&mut *p, 0, &mut ctx(&[0, 0], 0, 0, &mut obs));
-        assert_eq!(d, Dispatch::Idle);
+        let sel = ResumeSel::MinKey;
+        assert_eq!(Dispatch::new_first(&ctx(&[1, 0], 1, 3, &mut obs), sel), Dispatch::New);
+        assert_eq!(
+            Dispatch::new_first(&ctx(&[0, 0], 0, 3, &mut obs), sel),
+            Dispatch::Parked(sel)
+        );
+        assert_eq!(Dispatch::new_first(&ctx(&[0, 0], 0, 0, &mut obs), sel), Dispatch::Idle);
     }
 
     #[test]
-    fn legacy_adapter_preserves_resume_order_and_quantum() {
+    fn default_hooks_keep_jsq_fifo_placement_and_arrival_order() {
         let mut obs = Observer::counters_only();
-        let mut srpt = SrptOracle::fixed(SimDur::micros(4));
-        let d = SchedPolicy::dispatch(&mut srpt, 0, &mut ctx(&[0], 0, 2, &mut obs));
-        assert_eq!(d, Dispatch::Parked(ResumeSel::Srpt));
-        let q = SchedPolicy::time_slice(&mut srpt, &task(), &mut ctx(&[0], 0, 0, &mut obs));
-        assert_eq!(q, SimDur::micros(4));
-        assert_eq!(SchedPolicy::quantum_hint(&srpt, 0), SimDur::micros(4));
-        assert_eq!(SchedPolicy::quantum_hint(&NonPreemptive, 0), SimDur::MAX);
-    }
-
-    #[test]
-    fn legacy_adapter_defaults_placement_and_queueing() {
-        let mut obs = Observer::counters_only();
-        let mut rr = RoundRobin::fixed(SimDur::micros(10));
-        let sel = SchedPolicy::select_cpu(&mut rr, &task(), &mut ctx(&[3, 1], 4, 0, &mut obs));
-        assert_eq!(sel, None, "legacy policies keep JSQ placement");
-        let e = SchedPolicy::enqueue(&mut rr, &task(), &mut ctx(&[3, 1], 4, 0, &mut obs));
-        assert_eq!(e, Enqueue::Back);
-        assert_eq!(SchedPolicy::name(&rr), "round-robin");
-    }
-
-    #[test]
-    fn default_resume_key_is_arrival_order() {
-        let mut a = task();
-        a.arrived = SimTime::from_nanos(100);
-        let mut b = task();
-        b.arrived = SimTime::from_nanos(200);
-        let rr = RoundRobin::fixed(SimDur::micros(10));
-        assert!(SchedPolicy::resume_key(&rr, &a) < SchedPolicy::resume_key(&rr, &b));
+        let mut p = FcfsPreempt::fixed(SimDur::micros(10));
+        let t = task(100);
+        assert_eq!(p.select_cpu(&t, &mut ctx(&[3, 1], 4, 0, &mut obs)), None);
+        assert_eq!(p.enqueue(&t, &mut ctx(&[3, 1], 4, 0, &mut obs)), Enqueue::Back);
+        assert!(p.resume_key(&task(100)) < p.resume_key(&task(200)));
     }
 }

@@ -70,19 +70,25 @@ struct SlotMeta {
 ///
 /// ```
 /// use libpreemptible::utimer::UtimerRegistry;
+/// use lp_sim::obs::Observer;
 /// use lp_sim::SimTime;
 ///
 /// let mut reg = UtimerRegistry::new();
+/// let mut obs = Observer::counters_only();
+/// let mut fired = Vec::new();
 /// let slot = reg.register();
 /// reg.arm(slot, SimTime::from_nanos(5_000));
-/// assert_eq!(reg.expired(SimTime::from_nanos(4_999)), vec![]);
-/// assert_eq!(reg.expired(SimTime::from_nanos(5_000)), vec![slot]);
+/// reg.poll(SimTime::from_nanos(4_999), &mut fired, &mut obs);
+/// assert_eq!(fired, []);
+/// reg.poll(SimTime::from_nanos(5_000), &mut fired, &mut obs);
+/// assert_eq!(fired, [slot]);
 /// // Firing disarms: no double delivery.
-/// assert_eq!(reg.expired(SimTime::from_nanos(9_000)), vec![]);
+/// reg.poll(SimTime::from_nanos(9_000), &mut fired, &mut obs);
+/// assert_eq!(fired, []);
 /// ```
 #[derive(Debug, Default)]
 pub struct UtimerRegistry {
-    /// Hot: one aligned line per slot; the only thing `expired`'s scan
+    /// Hot: one aligned line per slot; the only thing `poll`'s scan
     /// loop reads.
     lines: Vec<DeadlineLine>,
     /// Cold: same indexing as `lines`.
@@ -183,10 +189,15 @@ impl UtimerRegistry {
         self.lines.get(slot.0).and_then(|l| l.deadline)
     }
 
-    /// Scans all slots (the timer core's `RDTSC` loop body) and returns
-    /// the slots whose deadlines are `<= now`, disarming them.
-    pub fn expired(&mut self, now: SimTime) -> Vec<SlotId> {
-        let mut fired = Vec::new();
+    /// Scans all slots (the timer core's `RDTSC` loop body), disarming
+    /// the slots whose deadlines are `<= now` and replacing the
+    /// contents of `fired` with them, in slot order. Emits a
+    /// `timer_poll` event recording how many deadlines this scan fired
+    /// (including zero — poll frequency itself is a cost the paper
+    /// measures). Reusing one `fired` buffer keeps the poll
+    /// allocation-free.
+    pub fn poll(&mut self, now: SimTime, fired: &mut Vec<SlotId>, obs: &mut Observer) {
+        fired.clear();
         for (i, line) in self.lines.iter_mut().enumerate() {
             if let Some(dl) = line.deadline {
                 if dl <= now {
@@ -196,16 +207,7 @@ impl UtimerRegistry {
                 }
             }
         }
-        fired
-    }
-
-    /// [`expired`](Self::expired) plus a `timer_poll` event recording
-    /// how many deadlines this scan fired (including zero — poll
-    /// frequency itself is a cost the paper measures).
-    pub fn expired_observed(&mut self, now: SimTime, obs: &mut Observer) -> Vec<SlotId> {
-        let fired = self.expired(now);
         obs.emit(now, Event::TimerPoll { expired: fired.len() as u16 });
-        fired
     }
 
     /// The earliest armed deadline (lets the simulated timer core — and
@@ -310,6 +312,13 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// One poll with a fresh buffer and a throwaway observer.
+    fn expired(r: &mut UtimerRegistry, now: SimTime) -> Vec<SlotId> {
+        let mut fired = Vec::new();
+        r.poll(now, &mut fired, &mut Observer::counters_only());
+        fired
+    }
+
     #[test]
     fn registry_register_arm_fire() {
         let mut r = UtimerRegistry::new();
@@ -319,9 +328,9 @@ mod tests {
         r.arm(b, t(200));
         assert_eq!(r.armed(), 2);
         assert_eq!(r.next_deadline(), Some(t(100)));
-        assert_eq!(r.expired(t(150)), vec![a]);
+        assert_eq!(expired(&mut r, t(150)), vec![a]);
         assert_eq!(r.armed(), 1);
-        assert_eq!(r.expired(t(250)), vec![b]);
+        assert_eq!(expired(&mut r, t(250)), vec![b]);
         assert_eq!(r.armed(), 0);
         assert_eq!(r.next_deadline(), None);
     }
@@ -333,8 +342,8 @@ mod tests {
         r.arm(a, t(100));
         r.arm(a, t(500)); // quantum extended
         assert_eq!(r.armed(), 1);
-        assert_eq!(r.expired(t(200)), vec![]);
-        assert_eq!(r.expired(t(500)), vec![a]);
+        assert_eq!(expired(&mut r, t(200)), vec![]);
+        assert_eq!(expired(&mut r, t(500)), vec![a]);
     }
 
     #[test]
@@ -344,7 +353,7 @@ mod tests {
         r.arm(a, t(100));
         r.disarm(a);
         assert_eq!(r.armed(), 0);
-        assert!(r.expired(t(1_000)).is_empty());
+        assert!(expired(&mut r, t(1_000)).is_empty());
         // Disarming a disarmed slot is a no-op.
         r.disarm(a);
         assert_eq!(r.armed(), 0);
@@ -359,7 +368,7 @@ mod tests {
         r.arm(c, t(10));
         r.arm(a, t(10));
         r.arm(b, t(10));
-        assert_eq!(r.expired(t(10)), vec![a, b, c]);
+        assert_eq!(expired(&mut r, t(10)), vec![a, b, c]);
     }
 
     #[test]
@@ -371,7 +380,7 @@ mod tests {
         assert_eq!(r.label(named), Some("worker-3"));
         // Labels are inert metadata: arming/firing ignores them.
         r.arm(named, t(10));
-        assert_eq!(r.expired(t(10)), vec![named]);
+        assert_eq!(expired(&mut r, t(10)), vec![named]);
         assert_eq!(r.label(named), Some("worker-3"));
         assert_eq!(r.label(SlotId(99)), None);
     }
@@ -400,14 +409,17 @@ mod tests {
 
     #[test]
     fn registry_observed_emits_schema_events() {
-        use lp_sim::obs::{Counter, Observer};
+        use lp_sim::obs::Counter;
         let mut r = UtimerRegistry::new();
         let a = r.register();
         let mut obs = Observer::new(16);
+        let mut fired = vec![a];
         r.arm_observed(a, t(500), t(100), &mut obs);
-        // Empty poll still records the scan.
-        assert!(r.expired_observed(t(200), &mut obs).is_empty());
-        assert_eq!(r.expired_observed(t(600), &mut obs), vec![a]);
+        // Empty poll still records the scan, and clears the buffer.
+        r.poll(t(200), &mut fired, &mut obs);
+        assert!(fired.is_empty());
+        r.poll(t(600), &mut fired, &mut obs);
+        assert_eq!(fired, vec![a]);
         // Disarming an already-fired slot emits nothing.
         r.disarm_observed(a, t(700), &mut obs);
         r.arm_observed(a, t(900), t(800), &mut obs);

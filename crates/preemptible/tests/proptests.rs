@@ -3,6 +3,7 @@
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::context::ContextPool;
 use libpreemptible::utimer::{TimingWheel, UtimerRegistry};
+use lp_sim::obs::Observer;
 use lp_sim::{SimDur, SimTime};
 use lp_stats::WindowSummary;
 use proptest::prelude::*;
@@ -126,10 +127,13 @@ proptest! {
             })
             .collect();
         let mut fired_at: Vec<Option<u64>> = vec![None; slots.len()];
+        let mut obs = Observer::counters_only();
+        let mut fired = Vec::new();
         let mut now = 0;
         while reg.armed() > 0 {
             now += step;
-            for slot in reg.expired(SimTime::from_nanos(now)) {
+            reg.poll(SimTime::from_nanos(now), &mut fired, &mut obs);
+            for &slot in &fired {
                 let idx = slots.iter().position(|&s| s == slot).unwrap();
                 prop_assert!(fired_at[idx].is_none(), "double fire");
                 prop_assert!(deadlines[idx] <= now, "fired early");
@@ -154,6 +158,7 @@ proptest! {
         let cfg = AdaptiveConfig::paper_defaults(100_000.0);
         let (t_min, t_max) = (cfg.t_min, cfg.t_max);
         let mut c = QuantumController::new(cfg, SimDur::micros(initial_us));
+        let mut obs = Observer::counters_only();
         for _ in 0..steps {
             let q = c.update(&WindowSummary {
                 load_rps: load,
@@ -164,7 +169,7 @@ proptest! {
                 completed: 1,
                 arrived: 1,
                 service_scv: qlen, // any non-negative value
-            });
+            }, SimTime::ZERO, &mut obs);
             prop_assert!(q >= t_min && q <= t_max, "quantum {q} out of bounds");
         }
     }

@@ -17,7 +17,8 @@
 
 use libpreemptible::sched::{Dispatch, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
-use lp_sim::SimDur;
+use lp_sim::obs::Observer;
+use lp_sim::{SimDur, SimTime};
 use lp_stats::WindowSummary;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
@@ -35,14 +36,13 @@ impl SchedPolicy for TailAgingPolicy {
 
     fn dispatch(&mut self, _cpu: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
         // Short-job friendly: always drain fresh requests first, then
-        // resume the shortest leftover.
-        if ctx.runnable > 0 {
-            Dispatch::New
-        } else if ctx.parked > 0 {
-            Dispatch::Parked(ResumeSel::Srpt)
-        } else {
-            Dispatch::Idle
-        }
+        // resume the parked task with the smallest `resume_key`.
+        Dispatch::new_first(ctx, ResumeSel::MinKey)
+    }
+
+    fn resume_key(&self, task: &TaskView) -> u64 {
+        // Shortest leftover first.
+        task.remaining.as_nanos()
     }
 
     fn time_slice(&mut self, _task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {
@@ -53,7 +53,7 @@ impl SchedPolicy for TailAgingPolicy {
         self.quantum
     }
 
-    fn on_window(&mut self, s: &WindowSummary) {
+    fn on_window(&mut self, s: &WindowSummary, _at: SimTime, _obs: &mut Observer) {
         // React to the observed tail: p99 beyond 20x median means
         // head-of-line blocking — tighten; a calm window relaxes.
         self.quantum = if s.p99_ns > 20 * s.median_ns.max(1) {

@@ -16,7 +16,9 @@
 //! the policy chose or the JSQ fallback did.
 
 use libpreemptible::sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};
-use libpreemptible::{run, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{
+    run, FcfsPreempt, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec,
+};
 use lp_sim::obs::Event;
 use lp_sim::SimDur;
 use lp_workload::{ColocatedWorkload, RateSchedule};
@@ -51,13 +53,7 @@ impl SchedPolicy for BePinned {
     }
 
     fn dispatch(&mut self, _cpu: usize, ctx: &mut SchedCtx<'_>) -> Dispatch {
-        if ctx.runnable > 0 {
-            Dispatch::New
-        } else if ctx.parked > 0 {
-            Dispatch::Parked(ResumeSel::Fifo)
-        } else {
-            Dispatch::Idle
-        }
+        Dispatch::new_first(ctx, ResumeSel::Fifo)
     }
 
     fn time_slice(&mut self, _task: &TaskView, _ctx: &mut SchedCtx<'_>) -> SimDur {
@@ -95,7 +91,7 @@ fn colocated(policy: Box<dyn SchedPolicy>) -> RunReport {
 
 fn main() {
     let pinned = colocated(Box::new(BePinned { slice: SimDur::micros(10) }));
-    let jsq = colocated(Box::new(libpreemptible::FcfsPreempt::fixed(SimDur::micros(10))));
+    let jsq = colocated(Box::new(FcfsPreempt::fixed(SimDur::micros(10))));
 
     let explicit = pinned
         .events

@@ -11,7 +11,7 @@
 //! and prints both latency profiles.
 
 use libpreemptible::{
-    run, FcfsPreempt, NonPreemptive, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+    run, FcfsPreempt, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -34,7 +34,7 @@ fn main() {
             mech: PreemptMech::None,
             ..RuntimeConfig::default()
         },
-        Box::new(NonPreemptive),
+        Box::new(FcfsPreempt::fixed(SimDur::MAX)),
         spec(),
     );
     let preemptive = run(
@@ -43,9 +43,9 @@ fn main() {
         spec(),
     );
 
-    for r in [&base, &preemptive] {
+    for (label, r) in [("no preemption", &base), ("5 us quantum", &preemptive)] {
         assert!(r.is_conserved(), "request accounting must balance");
-        println!("{}", r.system);
+        println!("{label} ({})", r.system);
         println!("  completions : {}", r.completions);
         println!("  median      : {:>8.1} us", r.median_us());
         println!("  p99         : {:>8.1} us", r.p99_us());

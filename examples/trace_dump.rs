@@ -1,5 +1,5 @@
 //! Trace dump: capture the typed cross-layer event trace of a short
-//! run and print it three ways — raw JSONL, the legacy human-readable
+//! run and print it three ways — raw JSONL, the human-readable
 //! rendering, and the metrics registry snapshot.
 //!
 //! ```text

@@ -14,7 +14,7 @@
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::{
-    run, FcfsPreempt, NonPreemptive, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+    run, FcfsPreempt, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
 use lp_sim::SimDur;
 use lp_workload::{EmpiricalDist, PhasedService, RateSchedule, ServiceDist};
@@ -72,7 +72,7 @@ fn main() {
             mech: PreemptMech::None,
             ..RuntimeConfig::default()
         },
-        Box::new(NonPreemptive),
+        Box::new(FcfsPreempt::fixed(SimDur::MAX)),
         spec(),
     );
     let adaptive = {

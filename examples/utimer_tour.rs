@@ -8,6 +8,7 @@
 
 use libpreemptible::utimer::{TimingWheel, UtimerRegistry};
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
+use lp_sim::obs::Observer;
 use lp_sim::SimTime;
 
 fn main() {
@@ -21,13 +22,14 @@ fn main() {
     }
     println!("armed {} deadline slots; earliest = {:?}", reg.armed(), reg.next_deadline());
 
-    // The timer core polls the TSC and collects expiries.
+    // The timer core polls the TSC and collects expiries into one
+    // reused buffer.
+    let mut obs = Observer::counters_only();
+    let mut due = Vec::new();
     let mut fired = Vec::new();
     for t in [6_000u64, 12_000, 22_000] {
-        let now = SimTime::from_nanos(t);
-        for slot in reg.expired(now) {
-            fired.push((t, slot.index()));
-        }
+        reg.poll(SimTime::from_nanos(t), &mut due, &mut obs);
+        fired.extend(due.iter().map(|slot| (t, slot.index())));
     }
     println!("expiry order (poll-time, worker): {fired:?}");
     assert_eq!(fired.len(), 4);

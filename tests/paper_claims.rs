@@ -4,7 +4,7 @@
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
 use libpreemptible::{
-    run, FcfsPreempt, NonPreemptive, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+    run, FcfsPreempt, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
 use lp_baselines::{run_shinjuku, ShinjukuConfig};
 use lp_sim::SimDur;
@@ -135,7 +135,7 @@ fn request_conservation_everywhere() {
         ] {
             let rate = dist.rate_for_utilization(rho, 4);
             let policy: Box<dyn libpreemptible::SchedPolicy> = if mech == PreemptMech::None {
-                Box::new(NonPreemptive)
+                Box::new(FcfsPreempt::fixed(SimDur::MAX))
             } else {
                 Box::new(FcfsPreempt::fixed(SimDur::micros(10)))
             };

@@ -6,7 +6,9 @@
 //! before it can corrupt a tournament artifact.
 
 use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
-use libpreemptible::policies::{AdaptiveQuantum, Edf, Fifo, Mlfq, Srpt, Vruntime};
+use libpreemptible::policies::{
+    ClassQuantum, Edf, FcfsPreempt, Mlfq, RoundRobin, Srpt, Vruntime,
+};
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::{run, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_sim::SimDur;
@@ -32,21 +34,30 @@ fn fig2_run(policy: Box<dyn SchedPolicy>) -> RunReport {
     )
 }
 
-/// One factory per zoo citizen, tuned like the tournament entrants.
+/// One factory per zoo citizen, tuned like the tournament entrants
+/// (the tournament does not race `class-quantum` or `round-robin`).
 fn zoo() -> Vec<(&'static str, Box<dyn SchedPolicy>)> {
     let mut adaptive = AdaptiveConfig::paper_defaults(1_400_000.0);
     adaptive.period = SimDur::millis(2);
     vec![
         (
             "adaptive-quantum",
-            Box::new(AdaptiveQuantum::new(QuantumController::new(
+            Box::new(FcfsPreempt::adaptive(QuantumController::new(
                 adaptive,
                 SimDur::micros(10),
             ))) as Box<dyn SchedPolicy>,
         ),
+        (
+            "class-quantum",
+            Box::new(ClassQuantum {
+                lc_quantum: SimDur::micros(10),
+                be_quantum: SimDur::micros(50),
+            }),
+        ),
         ("edf", Box::new(Edf::new(SimDur::micros(10), SimDur::micros(100), SimDur::millis(1)))),
-        ("fifo", Box::new(Fifo::new(SimDur::micros(10)))),
+        ("fifo", Box::new(FcfsPreempt::fixed(SimDur::micros(10)))),
         ("mlfq", Box::new(Mlfq::new(SimDur::micros(5), 4))),
+        ("round-robin", Box::new(RoundRobin::new(SimDur::micros(10)))),
         ("srpt", Box::new(Srpt::new(SimDur::micros(10)))),
         ("vruntime", Box::new(Vruntime::new(SimDur::micros(10)))),
     ]
@@ -77,7 +88,7 @@ fn every_zoo_policy_completes_fig2_with_zero_stranded_fibers() {
 
 #[test]
 fn zoo_runs_are_deterministic_per_policy() {
-    for mk in [|| zoo().remove(3).1, || zoo().remove(5).1] {
+    for mk in [|| zoo().remove(4).1, || zoo().remove(7).1] {
         let a = fig2_run(mk());
         let b = fig2_run(mk());
         assert_eq!(a.completions, b.completions);

@@ -1,8 +1,11 @@
-//! Property-based fuzzing of the full runtime: random configurations
-//! and workloads must always conserve requests, stay deterministic,
-//! and keep accounting sane.
+//! Property-based fuzzing of the full runtime: random configurations,
+//! workloads and zoo policies must always conserve requests, stay
+//! deterministic, and keep accounting sane.
 
-use libpreemptible::policy::{FcfsPreempt, NonPreemptive, RoundRobin, SrptOracle};
+use libpreemptible::adaptive::{AdaptiveConfig, QuantumController};
+use libpreemptible::policies::{
+    ClassQuantum, Edf, FcfsPreempt, Mlfq, RoundRobin, Srpt, Vruntime,
+};
 use libpreemptible::sched::SchedPolicy;
 use libpreemptible::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
 use lp_hw::TimeClass;
@@ -27,7 +30,7 @@ fn case() -> impl Strategy<Value = FuzzCase> {
     (
         1usize..6,
         0u8..4,
-        0u8..4,
+        0u8..POLICIES,
         1u64..200,
         5u64..140, // up to 1.4x overload
         0u8..4,
@@ -50,6 +53,32 @@ fn case() -> impl Strategy<Value = FuzzCase> {
         )
 }
 
+/// Number of policy choices [`policy`] draws from.
+const POLICIES: u8 = 9;
+
+/// The zoo policy `case` draws, with `q` as its base slice. Choice 8,
+/// and every `PreemptMech::None` case, is run-to-completion FCFS.
+fn policy(case: &FuzzCase, mech: PreemptMech, q: SimDur) -> Box<dyn SchedPolicy> {
+    if mech == PreemptMech::None {
+        return Box::new(FcfsPreempt::fixed(SimDur::MAX));
+    }
+    match case.policy {
+        0 => Box::new(FcfsPreempt::fixed(q)),
+        1 => {
+            let mut a = AdaptiveConfig::paper_defaults(1_000_000.0);
+            a.period = SimDur::millis(3);
+            Box::new(FcfsPreempt::adaptive(QuantumController::new(a, q)))
+        }
+        2 => Box::new(Mlfq::new(q, 4)),
+        3 => Box::new(Edf::new(q, q * 10, SimDur::millis(1))),
+        4 => Box::new(Vruntime::new(q)),
+        5 => Box::new(Srpt::new(q)),
+        6 => Box::new(ClassQuantum { lc_quantum: q, be_quantum: q * 4 }),
+        7 => Box::new(RoundRobin::new(q)),
+        _ => Box::new(FcfsPreempt::fixed(SimDur::MAX)),
+    }
+}
+
 fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec) {
     let mech = match case.mech {
         0 => PreemptMech::Uintr,
@@ -57,17 +86,7 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
         2 => PreemptMech::KernelTimerSignal,
         _ => PreemptMech::None,
     };
-    let q = SimDur::micros(case.quantum_us);
-    let policy: Box<dyn SchedPolicy> = if mech == PreemptMech::None {
-        Box::new(NonPreemptive)
-    } else {
-        match case.policy {
-            0 => Box::new(FcfsPreempt::fixed(q)),
-            1 => Box::new(RoundRobin::fixed(q)),
-            2 => Box::new(SrptOracle::fixed(q)),
-            _ => Box::new(NonPreemptive),
-        }
-    };
+    let policy = policy(case, mech, SimDur::micros(case.quantum_us));
     let dist = match case.dist {
         0 => ServiceDist::workload_a1(),
         1 => ServiceDist::workload_b(),
@@ -105,6 +124,7 @@ proptest! {
     fn conservation_and_accounting(case in case()) {
         let (cfg, policy, spec) = build(&case);
         let duration = spec.duration;
+        let run_to_completion = policy.quantum_hint(0) == SimDur::MAX;
         let r = run(cfg, policy, spec);
         prop_assert!(
             r.is_conserved(),
@@ -123,7 +143,7 @@ proptest! {
             prop_assert!(r.latency.max() >= r.latency.min());
         }
         // Non-preemptive configurations must never preempt.
-        if case.mech == 3 {
+        if case.mech == 3 || run_to_completion {
             prop_assert_eq!(r.preemptions, 0);
         }
     }
