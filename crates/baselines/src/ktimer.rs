@@ -18,6 +18,7 @@
 
 use lp_hw::HwCosts;
 use lp_kernel::{KernelCosts, SignalPath};
+use lp_sim::obs::Observer;
 use lp_sim::rng::rng;
 use lp_sim::{SimDur, SimTime};
 
@@ -93,6 +94,8 @@ pub fn measure(
         n += 1;
     };
 
+    // The microbenchmark reads latencies, not events.
+    let mut obs = Observer::counters_only();
     for round in 0..rounds {
         let intended = SimTime::ZERO + interval * (round as u64 + 1);
         // Each round's storm is independent: the previous round's
@@ -103,8 +106,8 @@ pub fn measure(
             TimerStrategy::PerThreadCreationTime => {
                 // All threads' timers expire together and storm the
                 // kernel signal lock.
-                for _ in 0..threads {
-                    let d = signal.deliver(intended);
+                for i in 0..threads {
+                    let d = signal.deliver(intended, None, i as u16, &mut obs).expect("no fault");
                     record(d.handler_start.saturating_since(intended));
                 }
             }
@@ -117,7 +120,7 @@ pub fn measure(
                 for i in 0..threads {
                     let phase = interval.mul_f64(i as f64 / threads as f64);
                     let this_intended = intended + phase;
-                    let d = signal.deliver(this_intended);
+                    let d = signal.deliver(this_intended, None, i as u16, &mut obs).expect("no fault");
                     record(d.handler_start.saturating_since(this_intended));
                 }
             }
@@ -126,7 +129,7 @@ pub fn measure(
                 // each handler then forwards along the warm chained
                 // path, so hops are serial and uncontended but
                 // accumulate down the chain.
-                let first = signal.deliver(intended);
+                let first = signal.deliver(intended, None, 0, &mut obs).expect("no fault");
                 let mut at = first.handler_start;
                 record(at.saturating_since(intended));
                 for _ in 1..threads {

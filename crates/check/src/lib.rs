@@ -7,9 +7,8 @@
 //!    `std::collections::HashMap` iteration or `Instant::now()` on a
 //!    sim path silently breaks it.
 //! 2. **Observability pairing** — every hardware/kernel state mutation
-//!    that matters is mirrored by an `_observed` event from the
-//!    `docs/TRACING.md` vocabulary, so metrics can never drift from the
-//!    model.
+//!    that matters emits an event from the `docs/TRACING.md`
+//!    vocabulary, so metrics can never drift from the model.
 //!
 //! `lp-check` turns both promises (plus the `unsafe` hygiene and
 //! concurrency rules) into a CI gate with four engines:

@@ -804,27 +804,6 @@ fn lint_file(rel: &str, source: &str, vocab: &BTreeSet<String>, report: &mut Lin
             }
         }
     }
-
-    // Pass 3: `_observed` wrappers must keep their plain twin in the
-    // same file (the mutator/event pair the tracing contract rests on).
-    if OBS_PAIRED_CRATES.contains(&krate) {
-        let fns = fn_names(&stripped.code);
-        for (name, line) in &fns {
-            if let Some(base) = name.strip_suffix("_observed") {
-                if !fns.iter().any(|(n, _)| n == base) {
-                    push(
-                        RuleId::ObsPair,
-                        *line,
-                        format!(
-                            "`fn {name}` has no plain `fn {base}` twin in this file — \
-                             the observed wrapper must delegate to an unobserved mutator"
-                        ),
-                        false,
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// `true` when `code` writes to `.{field}` (`=`, `+=`, `-=`, …) rather
@@ -909,33 +888,6 @@ fn event_variants(code: &str) -> Vec<String> {
             out.push(ident);
         }
         rest = tail;
-    }
-    out
-}
-
-/// All `fn <name>` definitions in a file with their 1-based lines.
-fn fn_names(code_lines: &[String]) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for (idx, code) in code_lines.iter().enumerate() {
-        let mut rest = code.as_str();
-        while let Some(pos) = rest.find("fn ") {
-            let token_ok = {
-                let before = &rest[..pos];
-                before.is_empty() || !is_ident(before.chars().next_back().unwrap())
-            };
-            let tail = &rest[pos + 3..];
-            if token_ok {
-                let name: String = tail
-                    .trim_start()
-                    .chars()
-                    .take_while(|&c| is_ident(c))
-                    .collect();
-                if !name.is_empty() {
-                    out.push((name, idx + 1));
-                }
-            }
-            rest = tail;
-        }
     }
     out
 }
@@ -1396,14 +1348,6 @@ pub enum Event {
             "{}",
             r.human()
         );
-    }
-
-    #[test]
-    fn fn_pairing_detects_missing_twin() {
-        let code = strip("pub fn arm(&mut self) {}\npub fn arm_observed(&mut self) {}\npub fn lonely_observed(&mut self) {}\n");
-        let fns = fn_names(&code.code);
-        assert!(fns.iter().any(|(n, _)| n == "arm"));
-        assert!(fns.iter().any(|(n, _)| n == "lonely_observed"));
     }
 
     #[test]

@@ -35,6 +35,8 @@ use lp_hw::uintr::{DropReason, ReceiverState, SendOutcome, Uitt, UintrDomain, Up
 use lp_hw::uintr_spec::SpecUpid;
 use lp_hw::CoreId;
 use lp_sim::fault::IpiFault;
+use lp_sim::obs::Observer;
+use lp_sim::SimTime;
 
 /// One atomic protocol transition in a scenario program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,8 +323,10 @@ impl World {
         (u.state_key(), rs, self.sent, self.drained, self.live)
     }
 
-    /// Applies one op; returns the invariant it broke, if any.
-    fn apply(&mut self, op: Op) -> Result<(), (Invariant, String)> {
+    /// Applies one op; returns the invariant it broke, if any. Sends
+    /// emit into `obs`, which lives outside the world so exploration
+    /// never clones or fingerprints it.
+    fn apply(&mut self, op: Op, obs: &mut Observer) -> Result<(), (Invariant, String)> {
         match op {
             Op::Send { vector } => {
                 let on_before = self.dom.upid(self.h).expect("registered").outstanding;
@@ -330,7 +334,7 @@ impl World {
                 let entry = self.uitt.get(vector as usize).expect("uitt entry");
                 let got = self
                     .dom
-                    .senduipi(entry, self.recv_state)
+                    .senduipi(entry, self.recv_state, None, 0, SimTime::ZERO, obs)
                     .map_err(|e| (Invariant::SpecAgreement, format!("send failed: {e}")))?;
                 let want = self.spec.send(vector, self.recv_state);
                 self.sent |= 1u64 << vector;
@@ -359,7 +363,7 @@ impl World {
                 let entry = self.uitt.get(vector as usize).expect("uitt entry");
                 let got = self
                     .dom
-                    .senduipi_with_fault(entry, self.recv_state, Some(IpiFault::Drop))
+                    .senduipi(entry, self.recv_state, Some(IpiFault::Drop), 0, SimTime::ZERO, obs)
                     .map_err(|e| (Invariant::SpecAgreement, format!("lost send failed: {e}")))?;
                 if got != (SendOutcome::Dropped { reason: DropReason::Faulted }) {
                     return Err((
@@ -456,9 +460,9 @@ impl World {
     /// in (clears `SN`) and the handler drains. Afterwards *every* sent
     /// vector must have been delivered exactly once and nothing may
     /// remain pending — the bounded-horizon form of "no lost wakeup".
-    fn epilogue(&mut self) -> Result<(), (Invariant, String)> {
-        self.apply(Op::Suppress(false))?;
-        self.apply(Op::Ack)?;
+    fn epilogue(&mut self, obs: &mut Observer) -> Result<(), (Invariant, String)> {
+        self.apply(Op::Suppress(false), obs)?;
+        self.apply(Op::Ack, obs)?;
         let u = self.dom.upid(self.h).expect("receiver registered");
         if self.drained != self.sent || u.pending != 0 || u.outstanding {
             return Err((
@@ -488,6 +492,8 @@ struct Explorer<'a> {
     /// `(program counters, world fingerprint)` pairs already explored.
     memo: BTreeSet<(Vec<usize>, Fingerprint)>,
     trace: Vec<String>,
+    /// Sink for the sends' events; the checker reads only outcomes.
+    obs: Observer,
 }
 
 impl Explorer<'_> {
@@ -508,7 +514,7 @@ impl Explorer<'_> {
         if enabled.is_empty() {
             self.report.schedules += 1;
             let mut w = world.clone();
-            if let Err((inv, detail)) = w.epilogue() {
+            if let Err((inv, detail)) = w.epilogue(&mut self.obs) {
                 self.record(inv, detail);
             }
             return;
@@ -525,7 +531,7 @@ impl Explorer<'_> {
             let mut w = world.clone();
             self.report.steps += 1;
             self.trace.push(format!("T{t}:{op}"));
-            match w.apply(op) {
+            match w.apply(op, &mut self.obs) {
                 Ok(()) => {
                     pcs[t] += 1;
                     self.dfs(pcs, &w);
@@ -553,6 +559,7 @@ pub fn explore(sc: &Scenario, mode: Mode) -> ScenarioReport {
         },
         memo: BTreeSet::new(),
         trace: Vec::new(),
+        obs: Observer::counters_only(),
     };
     let mut pcs = vec![0usize; sc.threads.len()];
     ex.dfs(&mut pcs, &World::new());
@@ -709,8 +716,9 @@ mod tests {
     #[test]
     fn checker_catches_a_lost_vector() {
         let mut w = World::new();
-        w.apply(Op::Suppress(true)).unwrap();
-        w.apply(Op::Send { vector: 4 }).unwrap();
+        let mut obs = Observer::counters_only();
+        w.apply(Op::Suppress(true), &mut obs).unwrap();
+        w.apply(Op::Send { vector: 4 }, &mut obs).unwrap();
         // Model a buggy kernel that clears SN without a follow-up drain
         // and then loses the pending bit: emulate by tampering with the
         // accounting the way a lost vector would look.
@@ -726,14 +734,15 @@ mod tests {
     #[test]
     fn lost_send_changes_nothing() {
         let mut w = World::new();
-        w.apply(Op::Send { vector: 7 }).unwrap();
+        let mut obs = Observer::counters_only();
+        w.apply(Op::Send { vector: 7 }, &mut obs).unwrap();
         let before = w.fingerprint();
         let sent = w.sent;
-        w.apply(Op::SendLost { vector: 7 }).unwrap();
+        w.apply(Op::SendLost { vector: 7 }, &mut obs).unwrap();
         assert_eq!(w.fingerprint(), before);
         assert_eq!(w.sent, sent, "a dropped send must not earn drain credit");
         w.check_state().unwrap();
-        w.epilogue().unwrap();
+        w.epilogue(&mut obs).unwrap();
     }
 
     #[test]
@@ -755,12 +764,13 @@ mod tests {
     #[test]
     fn epilogue_flags_unacked_residue() {
         let mut w = World::new();
-        w.apply(Op::Send { vector: 3 }).unwrap();
+        let mut obs = Observer::counters_only();
+        w.apply(Op::Send { vector: 3 }, &mut obs).unwrap();
         // Healthy world: epilogue drains and passes.
-        assert!(w.clone().epilogue().is_ok());
+        assert!(w.clone().epilogue(&mut obs).is_ok());
         // A world whose drain accounting lost a bit fails.
         let mut bad = w.clone();
         bad.sent |= 1 << 8;
-        assert!(bad.epilogue().is_err());
+        assert!(bad.epilogue(&mut obs).is_err());
     }
 }

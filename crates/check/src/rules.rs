@@ -8,9 +8,8 @@
 pub enum RuleId {
     /// Nondeterminism sources banned from sim-path crates.
     Nondet,
-    /// Observability pairing: emitted events must be in the documented
-    /// vocabulary and every `*_observed` wrapper must keep its plain
-    /// twin.
+    /// Observability pairing: events emitted by the mechanism and
+    /// runtime crates must be in the documented vocabulary.
     ObsPair,
     /// `unsafe` code is confined to `lp-fibers`.
     UnsafeScope,
@@ -98,9 +97,8 @@ impl RuleId {
                  randomized hashing, wall-clock reads, and OS sleeps silently break that"
             }
             RuleId::ObsPair => {
-                "every state mutation that matters is mirrored by an `_observed` event; \
-                 an event outside docs/TRACING.md's vocabulary (or a wrapper without its \
-                 plain twin) means metrics can drift from the model"
+                "every state mutation that matters emits an event from docs/TRACING.md's \
+                 vocabulary; an undocumented event means metrics can drift from the model"
             }
             RuleId::UnsafeScope => {
                 "only the real-context crate lp-fibers has a reason to touch raw stacks; \
@@ -233,8 +231,7 @@ pub const NONDET_EXEMPT_CRATES: [&str; 2] = ["fibers", "check"];
 /// ([`RuleId::UnsafeScope`]).
 pub const UNSAFE_ALLOWED_CRATE: &str = "fibers";
 
-/// Crates whose sources must only construct documented events and whose
-/// `*_observed` wrappers must keep their plain twin
+/// Crates whose sources must only construct documented events
 /// ([`RuleId::ObsPair`]).
 pub const OBS_PAIRED_CRATES: [&str; 3] = ["hw", "kernel", "preemptible"];
 

@@ -12,7 +12,8 @@
 
 use lp_hw::uintr::{ReceiverState, UintrDomain, Uitt};
 use lp_hw::{HwCosts, PollMode, PowerModel};
-use lp_sim::SimDur;
+use lp_sim::obs::Observer;
+use lp_sim::{SimDur, SimTime};
 use lp_stats::Table;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
@@ -56,6 +57,7 @@ pub fn attack_surface(workers: usize) -> (usize, usize) {
     // shared-memory notification channel) — the co-tenant can send on
     // every vector the fd family exposes.
     let mut dom = UintrDomain::new();
+    let mut obs = Observer::counters_only();
     let victim = dom.register_receiver();
     let mut cotenant_uitt = Uitt::new();
     let native_vectors = 64usize;
@@ -67,7 +69,10 @@ pub fn attack_surface(workers: usize) -> (usize, usize) {
         .filter(|&i| {
             cotenant_uitt
                 .get(i)
-                .map(|e| dom.senduipi(e, ReceiverState::RunningUifSet).is_ok())
+                .map(|e| {
+                    let at = SimTime::ZERO;
+                    dom.senduipi(e, ReceiverState::RunningUifSet, None, 0, at, &mut obs).is_ok()
+                })
                 .unwrap_or(false)
         })
         .count();

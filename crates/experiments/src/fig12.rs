@@ -7,7 +7,8 @@
 
 use lp_kernel::{KernelCosts, KernelTimer};
 use lp_sim::rng::rng;
-use lp_sim::SimDur;
+use lp_sim::obs::Observer;
+use lp_sim::{SimDur, SimTime};
 use lp_stats::Table;
 
 use lp_hw::HwCosts;
@@ -37,8 +38,14 @@ pub struct PrecisionRow {
 /// the kernel delivered (floor + slack + noise).
 pub fn kernel_gaps(target: SimDur, n: usize, seed: u64) -> Vec<f64> {
     let mut t = KernelTimer::new(KernelCosts::default(), rng(seed, 21));
-    t.arm(target);
-    (0..n).map(|_| t.sample_expiry().as_micros_f64()).collect()
+    let mut obs = Observer::counters_only();
+    t.arm(target, 0, SimTime::ZERO, &mut obs);
+    (0..n)
+        .map(|_| {
+            let gap = t.sample_expiry(None, 0, SimTime::ZERO, &mut obs).expect("no fault");
+            gap.as_micros_f64()
+        })
+        .collect()
 }
 
 /// Samples `n` inter-handler gaps for LibUtimer under background

@@ -5,7 +5,6 @@
 //! simulated machine: every simulated core tracks where its cycles went,
 //! by category, and experiments read the breakdown directly.
 
-use lp_sim::obs::{Counter, Observer};
 use lp_sim::{SimDur, SimTime};
 
 /// Identifies a logical core (hyperthread) of the simulated machine.
@@ -162,21 +161,6 @@ impl CoreClock {
         *slot = slot.saturating_add(d);
     }
 
-    /// Charges `d` and mirrors it into the observer's per-class
-    /// `core_*_ns` counters, so the metrics registry carries the same
-    /// breakdown report-level consumers read from the clock.
-    pub fn charge_observed(&mut self, class: TimeClass, d: SimDur, obs: &mut Observer) {
-        self.charge(class, d);
-        let counter = match class {
-            TimeClass::Work => Counter::CoreWorkNs,
-            TimeClass::Preemption => Counter::CorePreemptionNs,
-            TimeClass::Dispatch => Counter::CoreDispatchNs,
-            TimeClass::TimerPoll => Counter::CoreTimerPollNs,
-            TimeClass::Kernel => Counter::CoreKernelNs,
-        };
-        obs.metrics_mut().add(counter, d.as_nanos());
-    }
-
     /// Time charged to one class.
     pub fn charged(&self, class: TimeClass) -> SimDur {
         match class {
@@ -255,21 +239,6 @@ mod tests {
         assert_eq!(c.total_charged(), SimDur::micros(80));
         assert_eq!(c.idle(SimTime::from_nanos(100_000)), SimDur::micros(20));
         assert!((c.preemption_over_work() - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn charge_observed_mirrors_into_counters() {
-        let mut c = CoreClock::new();
-        let mut obs = Observer::counters_only();
-        c.charge_observed(TimeClass::Work, SimDur::micros(70), &mut obs);
-        c.charge_observed(TimeClass::Preemption, SimDur::micros(7), &mut obs);
-        c.charge_observed(TimeClass::TimerPoll, SimDur::micros(2), &mut obs);
-        assert_eq!(obs.metrics().get(Counter::CoreWorkNs), 70_000);
-        assert_eq!(obs.metrics().get(Counter::CorePreemptionNs), 7_000);
-        assert_eq!(obs.metrics().get(Counter::CoreTimerPollNs), 2_000);
-        // The clock itself saw the same charges.
-        assert_eq!(c.charged(TimeClass::Work).as_nanos(), 70_000);
-        assert_eq!(c.total_charged(), SimDur::micros(79));
     }
 
     #[test]

@@ -50,20 +50,6 @@ impl PowerModel {
         };
         first + (cores - 1) as f64 * self.additional_core_w
     }
-
-    /// Like [`timer_power_w`](Self::timer_power_w), but also publishes
-    /// the draw to the `timer_power_w` gauge so run reports carry the
-    /// §V-B power figure alongside the scheduling counters.
-    pub fn timer_power_w_observed(
-        &self,
-        cores: usize,
-        mode: PollMode,
-        obs: &mut lp_sim::obs::Observer,
-    ) -> f64 {
-        let w = self.timer_power_w(cores, mode);
-        obs.metrics_mut().set_gauge(lp_sim::obs::Gauge::TimerPowerW, w);
-        w
-    }
 }
 
 #[cfg(test)]
@@ -91,12 +77,9 @@ mod tests {
     }
 
     #[test]
-    fn observed_power_sets_gauge() {
+    fn second_umwait_core_adds_its_increment() {
         let p = PowerModel::default();
-        let mut obs = lp_sim::obs::Observer::counters_only();
-        let w = p.timer_power_w_observed(2, PollMode::Umwait, &mut obs);
-        assert_eq!(obs.metrics().gauge(lp_sim::obs::Gauge::TimerPowerW), w);
-        assert!((w - 1.35).abs() < 1e-9);
+        assert!((p.timer_power_w(2, PollMode::Umwait) - 1.35).abs() < 1e-9);
     }
 
     #[test]

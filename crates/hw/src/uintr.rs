@@ -240,8 +240,10 @@ impl Uitt {
 /// let idx = uitt.register(receiver, 0);
 ///
 /// let entry = uitt.get(idx).unwrap();
+/// let mut obs = lp_sim::obs::Observer::counters_only();
+/// let at = lp_sim::SimTime::ZERO;
 /// let out = dom
-///     .senduipi(entry, ReceiverState::RunningUifSet)
+///     .senduipi(entry, ReceiverState::RunningUifSet, None, 0, at, &mut obs)
 ///     .unwrap();
 /// assert_eq!(out, SendOutcome::NotifiedRunning);
 /// // The receiver acknowledges and drains the pending vector bitmap.
@@ -307,8 +309,9 @@ impl UintrDomain {
         self.upids.get(h.index).and_then(Option::as_ref)
     }
 
-    /// Executes the posting half of `SENDUIPI`: records the vector in
-    /// the UPID and decides whether a notification goes out. The caller
+    /// Executes `SENDUIPI` at `at` from the sender targeting `worker`:
+    /// records the vector in the UPID, decides whether a notification
+    /// goes out, and emits the matching events into `obs`. The caller
     /// translates the outcome into latency using
     /// [`HwCosts`](crate::HwCosts).
     ///
@@ -317,68 +320,12 @@ impl UintrDomain {
     /// notification goes nowhere — so it reports
     /// [`SendOutcome::Dropped`] with [`DropReason::Unregistered`]
     /// instead of silently succeeding or failing the sender.
-    pub fn senduipi(
-        &mut self,
-        entry: UittEntry,
-        receiver: ReceiverState,
-    ) -> Result<SendOutcome, UintrError> {
-        let Ok(upid) = self.upid_mut(entry.upid) else {
-            return Ok(SendOutcome::Dropped { reason: DropReason::Unregistered });
-        };
-        upid.pending |= 1u64 << entry.vector;
-        if upid.suppress {
-            return Ok(SendOutcome::Suppressed);
-        }
-        if upid.outstanding {
-            return Ok(SendOutcome::Coalesced);
-        }
-        match receiver {
-            ReceiverState::RunningUifSet => {
-                upid.outstanding = true;
-                Ok(SendOutcome::NotifiedRunning)
-            }
-            ReceiverState::RunningUifClear => {
-                // Notification reaches the core but user-interrupt
-                // delivery pends on UIF.
-                upid.outstanding = true;
-                Ok(SendOutcome::PendedMasked)
-            }
-            ReceiverState::Blocked => {
-                upid.outstanding = true;
-                Ok(SendOutcome::NotifiedBlocked)
-            }
-        }
-    }
-
-    /// [`senduipi`](Self::senduipi) plus observability: emits
-    /// [`Event::UipiSent`] and, for the non-fast-path outcomes, the
-    /// matching event ([`Event::KernelAssistWake`] for a blocked
-    /// receiver, [`Event::UipiPended`] for a masked one,
-    /// [`Event::UipiSuppressed`] under `SN`). A coalesced send emits
-    /// nothing extra here — the extra posted vector surfaces as
-    /// `coalesced: true` on the eventual [`Event::UipiDelivered`] from
-    /// [`acknowledge_observed`](Self::acknowledge_observed).
-    pub fn senduipi_observed(
-        &mut self,
-        entry: UittEntry,
-        receiver: ReceiverState,
-        worker: u16,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> Result<SendOutcome, UintrError> {
-        let outcome = self.senduipi(entry, receiver)?;
-        emit_send_events(outcome, entry.vector, worker, at, obs);
-        Ok(outcome)
-    }
-
-    /// [`senduipi`](Self::senduipi) with a pre-sampled fault decision
-    /// applied. The decision comes from
+    ///
+    /// `fault` is a pre-sampled decision from
     /// [`FaultInjector::ipi`](lp_sim::fault::FaultInjector::ipi) — this
     /// layer stays a pure state machine and never draws randomness.
     ///
-    /// * `None` — behaves exactly like [`senduipi`](Self::senduipi)
-    ///   (same state transitions, same outcome), so a disabled or
-    ///   rate-0.0 plan is byte-identical to no injector.
+    /// * `None` — the architectural send.
     /// * [`IpiFault::Drop`] — the fabric loses the IPI: no UPID state
     ///   changes, outcome [`DropReason::Faulted`].
     /// * [`IpiFault::Delay`] — state transitions are normal; the *caller*
@@ -390,81 +337,90 @@ impl UintrDomain {
     ///   before the send lands, so the vector records but suppresses.
     /// * [`IpiFault::StaleNdst`] — the vector posts (and `ON` sets), but
     ///   the notification is misdirected: [`DropReason::StaleNdst`].
-    pub fn senduipi_with_fault(
+    ///
+    /// Every executed instruction emits [`Event::UipiSent`] (twice under
+    /// a duplicate). Non-fast-path outcomes add their marker:
+    /// [`Event::KernelAssistWake`] for a blocked receiver,
+    /// [`Event::UipiPended`] for a masked one, [`Event::UipiSuppressed`]
+    /// under `SN`. A coalesced send emits nothing extra — the extra
+    /// posted vector surfaces as `coalesced: true` on the eventual
+    /// [`Event::UipiDelivered`], which the receiver's delivery site
+    /// emits. A dropped send emits no delivery-side event; the runtime
+    /// emits the corresponding `fault_injected` event itself.
+    pub fn senduipi(
         &mut self,
         entry: UittEntry,
         receiver: ReceiverState,
         fault: Option<IpiFault>,
+        worker: u16,
+        at: SimTime,
+        obs: &mut Observer,
     ) -> Result<SendOutcome, UintrError> {
-        match fault {
-            None | Some(IpiFault::Delay(_)) => self.senduipi(entry, receiver),
-            Some(IpiFault::Drop) => Ok(SendOutcome::Dropped { reason: DropReason::Faulted }),
+        let outcome = match fault {
+            None | Some(IpiFault::Delay(_)) => self.post(entry, receiver),
+            Some(IpiFault::Drop) => SendOutcome::Dropped { reason: DropReason::Faulted },
             Some(IpiFault::Duplicate) => {
-                let first = self.senduipi(entry, receiver)?;
-                let _ = self.senduipi(entry, receiver)?;
-                Ok(first)
+                let first = self.post(entry, receiver);
+                self.post(entry, receiver);
+                first
             }
             Some(IpiFault::StuckSn) => {
                 if let Ok(upid) = self.upid_mut(entry.upid) {
                     upid.suppress = true;
                 }
-                self.senduipi(entry, receiver)
+                self.post(entry, receiver)
             }
-            Some(IpiFault::StaleNdst) => match self.senduipi(entry, receiver)? {
-                SendOutcome::Dropped { reason } => Ok(SendOutcome::Dropped { reason }),
-                _ => Ok(SendOutcome::Dropped { reason: DropReason::StaleNdst }),
+            Some(IpiFault::StaleNdst) => match self.post(entry, receiver) {
+                dropped @ SendOutcome::Dropped { .. } => dropped,
+                _ => SendOutcome::Dropped { reason: DropReason::StaleNdst },
             },
+        };
+        obs.emit(at, Event::UipiSent { worker, vector: entry.vector });
+        match outcome {
+            SendOutcome::NotifiedRunning | SendOutcome::Coalesced | SendOutcome::Dropped { .. } => {}
+            SendOutcome::NotifiedBlocked => obs.emit(at, Event::KernelAssistWake { worker }),
+            SendOutcome::PendedMasked => obs.emit(at, Event::UipiPended { worker }),
+            SendOutcome::Suppressed => obs.emit(at, Event::UipiSuppressed { worker }),
         }
-    }
-
-    /// [`senduipi_with_fault`](Self::senduipi_with_fault) plus the same
-    /// observability as [`senduipi_observed`](Self::senduipi_observed).
-    /// A dropped send still emits [`Event::UipiSent`] (the instruction
-    /// executed at the sender) but no delivery-side event; the runtime
-    /// emits the corresponding `fault_injected` event itself.
-    pub fn senduipi_with_fault_observed(
-        &mut self,
-        entry: UittEntry,
-        receiver: ReceiverState,
-        fault: Option<IpiFault>,
-        worker: u16,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> Result<SendOutcome, UintrError> {
-        let outcome = self.senduipi_with_fault(entry, receiver, fault)?;
-        emit_send_events(outcome, entry.vector, worker, at, obs);
-        if matches!(fault, Some(IpiFault::Duplicate)) {
+        if fault == Some(IpiFault::Duplicate) {
             obs.emit(at, Event::UipiSent { worker, vector: entry.vector });
         }
         Ok(outcome)
     }
 
+    /// The posting half of one architectural `SENDUIPI`: the pure UPID
+    /// state transition, without fault or observability.
+    fn post(&mut self, entry: UittEntry, receiver: ReceiverState) -> SendOutcome {
+        let Ok(upid) = self.upid_mut(entry.upid) else {
+            return SendOutcome::Dropped { reason: DropReason::Unregistered };
+        };
+        upid.pending |= 1u64 << entry.vector;
+        if upid.suppress {
+            return SendOutcome::Suppressed;
+        }
+        if upid.outstanding {
+            return SendOutcome::Coalesced;
+        }
+        upid.outstanding = true;
+        match receiver {
+            ReceiverState::RunningUifSet => SendOutcome::NotifiedRunning,
+            // Notification reaches the core but user-interrupt delivery
+            // pends on UIF.
+            ReceiverState::RunningUifClear => SendOutcome::PendedMasked,
+            ReceiverState::Blocked => SendOutcome::NotifiedBlocked,
+        }
+    }
+
     /// Receiver-side delivery: clears `ON`, drains and returns the
     /// pending vector bitmap (the handler sees the highest vector; we
-    /// hand back all bits for the runtime to dispatch).
+    /// hand back all bits for the runtime to dispatch). Pure: the
+    /// delivery site emits [`Event::UipiDelivered`] itself, so drains
+    /// that are not deliveries (a degraded worker's signal handler, the
+    /// model checker) stay silent.
     pub fn acknowledge(&mut self, h: UpidHandle) -> Result<u64, UintrError> {
         let upid = self.upid_mut(h)?;
         upid.outstanding = false;
         Ok(std::mem::take(&mut upid.pending))
-    }
-
-    /// [`acknowledge`](Self::acknowledge) plus observability: emits
-    /// [`Event::UipiDelivered`] at `at` (the instant the notification
-    /// reaches the handler), flagged `coalesced` when more than one
-    /// posted vector drains at once. Draining an empty bitmap emits
-    /// nothing.
-    pub fn acknowledge_observed(
-        &mut self,
-        h: UpidHandle,
-        worker: u16,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> Result<u64, UintrError> {
-        let bits = self.acknowledge(h)?;
-        if bits != 0 {
-            obs.emit(at, Event::UipiDelivered { worker, coalesced: bits.count_ones() > 1 });
-        }
-        Ok(bits)
     }
 
     /// Sets/clears `SN`. The kernel sets `SN` while the receiver is
@@ -486,24 +442,23 @@ impl UintrDomain {
     }
 }
 
-/// The shared event mapping of the observed send paths: every send
-/// emits [`Event::UipiSent`]; non-fast-path outcomes add their marker.
-/// `NotifiedRunning`, `Coalesced` and `Dropped` emit nothing extra
-/// (the drop surfaces through the runtime's `fault_injected` /
-/// watchdog events, not a hardware event).
-fn emit_send_events(outcome: SendOutcome, vector: u8, worker: u16, at: SimTime, obs: &mut Observer) {
-    obs.emit(at, Event::UipiSent { worker, vector });
-    match outcome {
-        SendOutcome::NotifiedRunning | SendOutcome::Coalesced | SendOutcome::Dropped { .. } => {}
-        SendOutcome::NotifiedBlocked => obs.emit(at, Event::KernelAssistWake { worker }),
-        SendOutcome::PendedMasked => obs.emit(at, Event::UipiPended { worker }),
-        SendOutcome::Suppressed => obs.emit(at, Event::UipiSuppressed { worker }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One send with an optional fault into a throwaway observer.
+    fn send_with(
+        dom: &mut UintrDomain,
+        e: UittEntry,
+        r: ReceiverState,
+        fault: Option<IpiFault>,
+    ) -> Result<SendOutcome, UintrError> {
+        dom.senduipi(e, r, fault, 0, SimTime::ZERO, &mut Observer::counters_only())
+    }
+
+    fn send(dom: &mut UintrDomain, e: UittEntry, r: ReceiverState) -> Result<SendOutcome, UintrError> {
+        send_with(dom, e, r, None)
+    }
 
     fn setup() -> (UintrDomain, Uitt, UpidHandle, usize) {
         let mut dom = UintrDomain::new();
@@ -518,19 +473,19 @@ mod tests {
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi(e, ReceiverState::RunningUifSet).unwrap(),
+            send(&mut dom, e, ReceiverState::RunningUifSet).unwrap(),
             SendOutcome::NotifiedRunning
         );
         // Second send before acknowledge: coalesced into the same
         // notification.
         assert_eq!(
-            dom.senduipi(e, ReceiverState::RunningUifSet).unwrap(),
+            send(&mut dom, e, ReceiverState::RunningUifSet).unwrap(),
             SendOutcome::Coalesced
         );
         assert_eq!(dom.acknowledge(h).unwrap(), 1 << 3);
         // After acknowledge the next send notifies again.
         assert_eq!(
-            dom.senduipi(e, ReceiverState::RunningUifSet).unwrap(),
+            send(&mut dom, e, ReceiverState::RunningUifSet).unwrap(),
             SendOutcome::NotifiedRunning
         );
     }
@@ -541,7 +496,7 @@ mod tests {
         dom.set_suppress(h, true).unwrap();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi(e, ReceiverState::RunningUifSet).unwrap(),
+            send(&mut dom, e, ReceiverState::RunningUifSet).unwrap(),
             SendOutcome::Suppressed
         );
         assert!(dom.has_pending(h));
@@ -555,7 +510,7 @@ mod tests {
         let (mut dom, uitt, _h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi(e, ReceiverState::Blocked).unwrap(),
+            send(&mut dom, e, ReceiverState::Blocked).unwrap(),
             SendOutcome::NotifiedBlocked
         );
     }
@@ -565,7 +520,7 @@ mod tests {
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi(e, ReceiverState::RunningUifClear).unwrap(),
+            send(&mut dom, e, ReceiverState::RunningUifClear).unwrap(),
             SendOutcome::PendedMasked
         );
         assert_eq!(dom.acknowledge(h).unwrap(), 1 << 3);
@@ -578,9 +533,9 @@ mod tests {
         let mut uitt = Uitt::new();
         let i0 = uitt.register(h, 0);
         let i5 = uitt.register(h, 5);
-        dom.senduipi(uitt.get(i0).unwrap(), ReceiverState::RunningUifSet)
+        send(&mut dom, uitt.get(i0).unwrap(), ReceiverState::RunningUifSet)
             .unwrap();
-        dom.senduipi(uitt.get(i5).unwrap(), ReceiverState::RunningUifSet)
+        send(&mut dom, uitt.get(i5).unwrap(), ReceiverState::RunningUifSet)
             .unwrap();
         assert_eq!(dom.acknowledge(h).unwrap(), (1 << 0) | (1 << 5));
         assert!(!dom.has_pending(h));
@@ -594,7 +549,7 @@ mod tests {
         // Sending through the stale entry is not an error: the
         // instruction executes and reports where the IPI went (nowhere).
         assert_eq!(
-            dom.senduipi(e, ReceiverState::RunningUifSet),
+            send(&mut dom, e, ReceiverState::RunningUifSet),
             Ok(SendOutcome::Dropped { reason: DropReason::Unregistered })
         );
         // Receiver-side operations on the dead handle still error.
@@ -646,44 +601,36 @@ mod tests {
     }
 
     #[test]
-    fn observed_send_emits_schema_events() {
-        use lp_sim::obs::{Counter, Observer};
-        use lp_sim::SimTime;
+    fn send_emits_schema_events() {
+        use lp_sim::obs::Counter;
 
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         let mut obs = Observer::new(16);
         let t = SimTime::from_nanos(100);
+        let mut sendo = |dom: &mut UintrDomain, r| dom.senduipi(e, r, None, 0, t, &mut obs).unwrap();
 
-        // Fast path: send + second (coalesced) send + delivery.
-        dom.senduipi_observed(e, ReceiverState::RunningUifSet, 0, t, &mut obs)
-            .unwrap();
-        dom.senduipi_observed(e, ReceiverState::RunningUifSet, 0, t, &mut obs)
-            .unwrap();
-        dom.acknowledge_observed(h, 0, SimTime::from_nanos(500), &mut obs)
-            .unwrap();
-        assert_eq!(obs.metrics().get(Counter::UipiSent), 2);
-        assert_eq!(obs.metrics().get(Counter::UipiDelivered), 1);
-        // Both sends posted vector 3: one bit, so not coalesced — fire
-        // distinct vectors to see the flag.
-        assert_eq!(obs.metrics().get(Counter::UipiCoalesced), 0);
-
+        // Fast path + a coalesced second send: one event per instruction.
+        assert_eq!(sendo(&mut dom, ReceiverState::RunningUifSet), SendOutcome::NotifiedRunning);
+        assert_eq!(sendo(&mut dom, ReceiverState::RunningUifSet), SendOutcome::Coalesced);
+        dom.acknowledge(h).unwrap();
         // Blocked receiver: slow path emits the kernel-assist event.
-        dom.senduipi_observed(e, ReceiverState::Blocked, 0, t, &mut obs).unwrap();
-        assert_eq!(obs.metrics().get(Counter::KernelAssistWakes), 1);
+        sendo(&mut dom, ReceiverState::Blocked);
+        dom.acknowledge(h).unwrap();
+        // Masked receiver pends; SN suppresses.
+        sendo(&mut dom, ReceiverState::RunningUifClear);
+        dom.acknowledge(h).unwrap();
+        dom.set_suppress(h, true).unwrap();
+        sendo(&mut dom, ReceiverState::RunningUifSet);
 
-        // Two different vectors pending at delivery → coalesced.
-        let mut uitt2 = Uitt::new();
-        let i9 = uitt2.register(h, 9);
-        dom.senduipi_observed(uitt2.get(i9).unwrap(), ReceiverState::RunningUifSet, 0, t, &mut obs)
-            .unwrap();
-        dom.acknowledge_observed(h, 0, SimTime::from_nanos(900), &mut obs).unwrap();
-        assert_eq!(obs.metrics().get(Counter::UipiCoalesced), 1);
-
-        // Empty acknowledge emits nothing.
-        let before = obs.metrics().get(Counter::UipiDelivered);
-        dom.acknowledge_observed(h, 0, SimTime::from_nanos(901), &mut obs).unwrap();
-        assert_eq!(obs.metrics().get(Counter::UipiDelivered), before);
+        let m = obs.metrics();
+        assert_eq!(m.get(Counter::UipiSent), 5);
+        assert_eq!(m.get(Counter::KernelAssistWakes), 1);
+        assert_eq!(m.get(Counter::UipiPended), 1);
+        assert_eq!(m.get(Counter::UipiSuppressed), 1);
+        // Draining is pure: delivery events belong to the delivery site.
+        assert_eq!(m.get(Counter::UipiDelivered), 0);
+        assert!(obs.events().all(|te| te.at == t));
     }
 
     #[test]
@@ -703,7 +650,7 @@ mod tests {
         let mut uitt = Uitt::new();
         let stale = uitt.register(a, 1);
         assert_eq!(
-            dom.senduipi(uitt.get(stale).unwrap(), ReceiverState::RunningUifSet),
+            send(&mut dom, uitt.get(stale).unwrap(), ReceiverState::RunningUifSet),
             Ok(SendOutcome::Dropped { reason: DropReason::Unregistered })
         );
         assert!(!dom.has_pending(b));
@@ -714,49 +661,35 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_send_matches_plain_send() {
-        let (mut dom, uitt, h, idx) = setup();
-        let (mut dom2, ..) = setup();
-        let e = uitt.get(idx).unwrap();
-        let plain = dom2.senduipi(e, ReceiverState::RunningUifSet).unwrap();
-        let faultless = dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, None).unwrap();
-        assert_eq!(plain, faultless);
-        assert_eq!(dom.upid(h).unwrap().pending, dom2.upid(h).unwrap().pending);
-        assert_eq!(dom.upid(h).unwrap().outstanding, dom2.upid(h).unwrap().outstanding);
-    }
-
-    #[test]
     fn injected_drop_leaves_no_trace() {
-        use lp_sim::fault::IpiFault;
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, Some(IpiFault::Drop)),
+            send_with(&mut dom, e, ReceiverState::RunningUifSet, Some(IpiFault::Drop)),
             Ok(SendOutcome::Dropped { reason: DropReason::Faulted })
         );
         assert!(!dom.has_pending(h), "a fabric drop must not post the vector");
         assert!(!dom.upid(h).unwrap().outstanding);
         // A retry with no fault succeeds normally.
         assert_eq!(
-            dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, None),
+            send_with(&mut dom, e, ReceiverState::RunningUifSet, None),
             Ok(SendOutcome::NotifiedRunning)
         );
     }
 
     #[test]
     fn injected_stuck_sn_suppresses_until_repaired() {
-        use lp_sim::fault::IpiFault;
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, Some(IpiFault::StuckSn)),
+            send_with(&mut dom, e, ReceiverState::RunningUifSet, Some(IpiFault::StuckSn)),
             Ok(SendOutcome::Suppressed)
         );
         assert!(dom.has_pending(h));
         // The watchdog's repair: clear SN, re-send, delivery works.
         dom.set_suppress(h, false).unwrap();
         assert_eq!(
-            dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, None),
+            send_with(&mut dom, e, ReceiverState::RunningUifSet, None),
             Ok(SendOutcome::NotifiedRunning)
         );
         assert_eq!(dom.acknowledge(h).unwrap(), 1 << 3);
@@ -764,11 +697,10 @@ mod tests {
 
     #[test]
     fn injected_stale_ndst_posts_but_drops() {
-        use lp_sim::fault::IpiFault;
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         assert_eq!(
-            dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, Some(IpiFault::StaleNdst)),
+            send_with(&mut dom, e, ReceiverState::RunningUifSet, Some(IpiFault::StaleNdst)),
             Ok(SendOutcome::Dropped { reason: DropReason::StaleNdst })
         );
         // The vector posted and ON is set — a retry coalesces (still no
@@ -776,7 +708,7 @@ mod tests {
         assert!(dom.has_pending(h));
         assert!(dom.upid(h).unwrap().outstanding);
         assert_eq!(
-            dom.senduipi_with_fault(e, ReceiverState::RunningUifSet, None),
+            send_with(&mut dom, e, ReceiverState::RunningUifSet, None),
             Ok(SendOutcome::Coalesced)
         );
         // The signal-path fallback's acknowledge drains everything.
@@ -786,13 +718,12 @@ mod tests {
 
     #[test]
     fn injected_duplicate_coalesces_and_delivers_once() {
-        use lp_sim::fault::IpiFault;
-        use lp_sim::obs::{Counter, Observer};
+        use lp_sim::obs::Counter;
         let (mut dom, uitt, h, idx) = setup();
         let e = uitt.get(idx).unwrap();
         let mut obs = Observer::new(16);
         let out = dom
-            .senduipi_with_fault_observed(
+            .senduipi(
                 e,
                 ReceiverState::RunningUifSet,
                 Some(IpiFault::Duplicate),
@@ -807,5 +738,19 @@ mod tests {
         assert_eq!(obs.metrics().get(Counter::UipiSent), 2);
         assert_eq!(dom.acknowledge(h).unwrap(), 1 << 3);
         assert!(!dom.has_pending(h));
+    }
+
+    #[test]
+    fn dropped_send_emits_only_the_instruction() {
+        use lp_sim::obs::Counter;
+        let (mut dom, uitt, _h, idx) = setup();
+        let e = uitt.get(idx).unwrap();
+        let mut obs = Observer::new(16);
+        for fault in [IpiFault::Drop, IpiFault::StaleNdst] {
+            let out = dom.senduipi(e, ReceiverState::Blocked, Some(fault), 0, SimTime::ZERO, &mut obs);
+            assert!(matches!(out, Ok(SendOutcome::Dropped { .. })));
+        }
+        assert_eq!(obs.metrics().get(Counter::UipiSent), 2);
+        assert_eq!(obs.metrics().get(Counter::KernelAssistWakes), 0);
     }
 }

@@ -1,15 +1,18 @@
 //! Property test: a rate-0.0 [`FaultPlan`] is indistinguishable from no
 //! injector at all. Whatever the magnitudes, seed, and op sequence, the
 //! injector never decides to inject (and never even draws from its RNG
-//! stream), so a domain driven through `senduipi_with_fault` with its
-//! decisions lands in byte-identical state to one driven through plain
-//! `senduipi` — outcome by outcome, UPID field by UPID field.
+//! stream), so a domain whose sends take the injector's decisions lands
+//! in byte-identical state to one whose sends take `None` — outcome by
+//! outcome, UPID field by UPID field, and event by event in the JSONL
+//! the two observers record.
 //!
 //! This is the contract `FaultPlan::enabled()` gating in the runtime
 //! rests on: armed-but-zero plans must be true no-ops.
 
 use lp_hw::uintr::{ReceiverState, Uitt, UintrDomain};
 use lp_sim::fault::{FaultInjector, FaultPlan};
+use lp_sim::obs::Observer;
+use lp_sim::SimTime;
 use proptest::prelude::*;
 
 /// A plan whose rates are all zero and schedule empty, but whose
@@ -35,9 +38,10 @@ fn receiver(rstate: u8) -> ReceiverState {
 }
 
 proptest! {
-    /// Lockstep run: `plain` uses the pre-fault API, `faulted` consults
-    /// a rate-0 injector at every site before every op. They must agree
-    /// on every outcome and every observable UPID bit at every step.
+    /// Lockstep run: `plain` sends with no fault, `faulted` consults a
+    /// rate-0 injector at every site before every op. They must agree
+    /// on every outcome, every drained bitmap and every observable UPID
+    /// bit at every step, and emit the same event stream.
     #[test]
     fn rate_zero_plan_is_byte_identical_to_no_injector(
         plan in zero_rate_plan(),
@@ -55,6 +59,9 @@ proptest! {
         for v in 0..64 {
             uitt.register(hp, v);
         }
+        // Room for every event: at most two per op.
+        let mut obs_plain = Observer::new(2 * ops.len());
+        let mut obs_faulted = Observer::new(2 * ops.len());
 
         for (i, &(kind, vector, rstate)) in ops.iter().enumerate() {
             // Exercise every injection site each step: a rate-0 plan
@@ -66,12 +73,16 @@ proptest! {
             prop_assert_eq!(inj.core(), None, "op {}: core fault", i);
 
             let r = receiver(rstate);
+            let at = SimTime::from_nanos(i as u64);
+            let worker = u16::from(vector);
             match kind {
                 0..=2 => {
                     let entry = uitt.get(vector as usize % 64).expect("entry");
-                    let a = plain.senduipi(entry, r).expect("plain send");
+                    let a = plain
+                        .senduipi(entry, r, None, worker, at, &mut obs_plain)
+                        .expect("plain send");
                     let b = faulted
-                        .senduipi_with_fault(entry, r, ipi)
+                        .senduipi(entry, r, ipi, worker, at, &mut obs_faulted)
                         .expect("faulted send");
                     prop_assert_eq!(a, b, "op {}: send outcomes diverged", i);
                 }
@@ -95,6 +106,8 @@ proptest! {
                 "op {}: UPID state diverged", i
             );
         }
+        prop_assert!(obs_plain.ring().overwritten() == 0, "the ring must hold every event");
+        prop_assert_eq!(obs_plain.to_jsonl(), obs_faulted.to_jsonl(), "event streams diverged");
     }
 
     /// The injector's RNG stream is untouched at rate 0: two injectors

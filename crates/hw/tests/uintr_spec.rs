@@ -7,6 +7,8 @@
 
 use lp_hw::uintr::{ReceiverState, Uitt, UintrDomain};
 use lp_hw::uintr_spec::SpecUpid;
+use lp_sim::obs::Observer;
+use lp_sim::SimTime;
 use proptest::prelude::*;
 
 /// Compact op encoding: (kind, vector, receiver-state).
@@ -22,6 +24,7 @@ fn apply_all(ops: &[(u8, u8, u8)]) -> Result<(), String> {
         uitt.register(h, v);
     }
     let mut spec = SpecUpid::new();
+    let mut obs = Observer::counters_only();
 
     for (i, &(kind, vector, rstate)) in ops.iter().enumerate() {
         let receiver = match rstate % 3 {
@@ -33,7 +36,7 @@ fn apply_all(ops: &[(u8, u8, u8)]) -> Result<(), String> {
             0..=2 => {
                 let entry = uitt.get(vector as usize % 64).expect("entry");
                 let got = dom
-                    .senduipi(entry, receiver)
+                    .senduipi(entry, receiver, None, 0, SimTime::ZERO, &mut obs)
                     .map_err(|e| format!("op {i}: send failed: {e}"))?;
                 let want = spec.send(entry.vector, receiver);
                 if got != want {
@@ -93,6 +96,7 @@ proptest! {
         for v in 0..64 {
             uitt.register(h, v);
         }
+        let mut obs = Observer::counters_only();
         let mut sent = 0u64;
         let mut drained = 0u64;
         for &(kind, vector, rstate) in &ops {
@@ -104,7 +108,7 @@ proptest! {
             match kind {
                 0..=2 => {
                     let entry = uitt.get(vector as usize % 64).expect("entry");
-                    dom.senduipi(entry, receiver).expect("send");
+                    dom.senduipi(entry, receiver, None, 0, SimTime::ZERO, &mut obs).expect("send");
                     sent |= 1u64 << entry.vector;
                 }
                 3 => drained |= dom.acknowledge(h).expect("ack"),

@@ -10,8 +10,7 @@
 //! so the hardware/software gap of Fig. 1 (left) is an output of the
 //! reproduction rather than an input.
 
-use lp_sim::obs::{Event, Observer};
-use lp_sim::{SimDur, SimTime};
+use lp_sim::SimDur;
 use rand::rngs::SmallRng;
 
 use lp_hw::jitter::standard_normal;
@@ -179,26 +178,6 @@ impl IpcLatency {
         }
     }
 
-    /// [`sample`](Self::sample) plus an `ipc_sampled` event recording
-    /// the mechanism ([`IpcMechanism::index`]) and drawn latency.
-    pub fn sample_observed(
-        &self,
-        mech: IpcMechanism,
-        rng: &mut SmallRng,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> SimDur {
-        let d = self.sample(mech, rng);
-        obs.emit(
-            at,
-            Event::IpcSampled {
-                mech: mech.index(),
-                latency_ns: d.as_nanos(),
-            },
-        );
-        d
-    }
-
     /// Per-iteration overhead *besides* the notification latency that a
     /// ping-pong loop pays (loop body, state toggling). Matters only for
     /// the sub-microsecond mechanisms, where it dominates the achievable
@@ -312,22 +291,5 @@ mod tests {
             assert_eq!(IpcMechanism::from_index(mech.index()), Some(*mech));
         }
         assert_eq!(IpcMechanism::from_index(6), None);
-    }
-
-    #[test]
-    fn sample_observed_records_mechanism_and_latency() {
-        use lp_sim::obs::{Counter, Observer};
-        let lat = IpcLatency::default();
-        let mut r = rng(5, 0);
-        let mut obs = Observer::new(8);
-        let at = SimTime::from_nanos(42);
-        let d = lat.sample_observed(IpcMechanism::Pipe, &mut r, at, &mut obs);
-        assert_eq!(obs.metrics().get(Counter::IpcSamples), 1);
-        let te = obs.events().next().copied().unwrap();
-        assert_eq!(te.at, at);
-        assert_eq!(
-            te.ev,
-            Event::IpcSampled { mech: IpcMechanism::Pipe.index(), latency_ns: d.as_nanos() }
-        );
     }
 }

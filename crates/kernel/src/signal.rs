@@ -33,11 +33,13 @@ pub struct SignalDelivery {
 ///
 /// ```
 /// use lp_kernel::{KernelCosts, SignalPath};
-/// use lp_sim::SimTime;
+/// use lp_sim::{obs::Observer, SimTime};
 /// let mut path = SignalPath::new(KernelCosts::default(), lp_sim::rng::rng(1, 4));
+/// let mut obs = Observer::counters_only();
 /// let t = SimTime::ZERO;
-/// let first = path.deliver(t);
-/// let second = path.deliver(t); // same instant: must queue behind first
+/// let first = path.deliver(t, None, 0, &mut obs).unwrap();
+/// // Same instant: must queue behind the first.
+/// let second = path.deliver(t, None, 1, &mut obs).unwrap();
 /// assert!(second.lock_wait > first.lock_wait);
 /// assert!(second.latency > first.latency);
 /// ```
@@ -70,13 +72,34 @@ impl SignalPath {
         self.delivered
     }
 
-    /// Delivers one signal initiated at `now`; serializes on the kernel
-    /// lock.
-    pub fn deliver(&mut self, now: SimTime) -> SignalDelivery {
-        self.deliver_inner(now, 0)
-    }
-
-    fn deliver_inner(&mut self, now: SimTime, extra_waiters: u32) -> SignalDelivery {
+    /// Delivers one signal to `worker`, initiated at `now`; serializes
+    /// on the kernel lock and emits a `signal_sent` event carrying the
+    /// lock wait — the per-send view behind Fig. 11's contention curves.
+    ///
+    /// `fault` is a pre-sampled decision from
+    /// [`FaultInjector::signal`](lp_sim::fault::FaultInjector::signal):
+    ///
+    /// * `None` — the ordinary delivery.
+    /// * [`SignalFault::Lost`] — the signal vanishes before the kernel
+    ///   queues it: no handler runs, no lock state changes, no event is
+    ///   emitted (the runtime emits the matching `fault_injected`), and
+    ///   the result is `None`; the runtime watchdog recovers the lost
+    ///   preemption.
+    /// * [`SignalFault::ContentionBurst`] — delivery proceeds but sees
+    ///   that many extra waiters in its congestion epoch, inflating the
+    ///   lock hold exactly as a real runqueue-lock storm would.
+    pub fn deliver(
+        &mut self,
+        now: SimTime,
+        fault: Option<SignalFault>,
+        worker: u16,
+        obs: &mut Observer,
+    ) -> Option<SignalDelivery> {
+        let extra_waiters = match fault {
+            None => 0,
+            Some(SignalFault::Lost) => return None,
+            Some(SignalFault::ContentionBurst(extra)) => extra,
+        };
         // New congestion epoch if the lock has been idle since before
         // `now`.
         if self.lock_free_at <= now {
@@ -101,72 +124,13 @@ impl SignalPath {
         let base = jitter::sample(&mut self.rng, self.costs.signal_deliver_base, 0.15);
         let latency = self.costs.syscall + lock_wait + hold + base + self.costs.signal_handler;
         self.delivered += 1;
-        SignalDelivery {
+        obs.emit(now, Event::SignalSent { worker, lock_wait_ns: lock_wait.as_nanos() });
+        Some(SignalDelivery {
             handler_start: now + latency,
             latency,
             sender_busy: self.costs.syscall + lock_wait + hold,
             lock_wait,
-        }
-    }
-
-    /// [`deliver`](Self::deliver) plus a `signal_sent` event carrying
-    /// the lock wait — the per-send view behind Fig. 11's contention
-    /// curves.
-    pub fn deliver_observed(
-        &mut self,
-        now: SimTime,
-        worker: u16,
-        obs: &mut Observer,
-    ) -> SignalDelivery {
-        let d = self.deliver(now);
-        obs.emit(
-            now,
-            Event::SignalSent {
-                worker,
-                lock_wait_ns: d.lock_wait.as_nanos(),
-            },
-        );
-        d
-    }
-
-    /// [`deliver`](Self::deliver) with a pre-sampled fault decision
-    /// applied. The decision comes from
-    /// [`FaultInjector::signal`](lp_sim::fault::FaultInjector::signal).
-    ///
-    /// * `None` — identical to [`deliver`](Self::deliver) (same lock
-    ///   state transitions, same RNG draws), wrapped in `Some`.
-    /// * [`SignalFault::Lost`] — the signal vanishes before the kernel
-    ///   queues it: no handler runs, no lock state changes, returns
-    ///   `None`; the runtime watchdog recovers the lost preemption.
-    /// * [`SignalFault::ContentionBurst`] — delivery proceeds but sees
-    ///   that many extra waiters in its congestion epoch, inflating the
-    ///   lock hold exactly as a real runqueue-lock storm would.
-    pub fn deliver_with_fault(
-        &mut self,
-        now: SimTime,
-        fault: Option<SignalFault>,
-    ) -> Option<SignalDelivery> {
-        match fault {
-            None => Some(self.deliver(now)),
-            Some(SignalFault::Lost) => None,
-            Some(SignalFault::ContentionBurst(extra)) => Some(self.deliver_inner(now, extra)),
-        }
-    }
-
-    /// [`deliver_with_fault`](Self::deliver_with_fault) plus the
-    /// `signal_sent` event when delivery actually happens. A lost
-    /// signal emits nothing here — the runtime emits the matching
-    /// `fault_injected` event.
-    pub fn deliver_with_fault_observed(
-        &mut self,
-        now: SimTime,
-        fault: Option<SignalFault>,
-        worker: u16,
-        obs: &mut Observer,
-    ) -> Option<SignalDelivery> {
-        let d = self.deliver_with_fault(now, fault)?;
-        obs.emit(now, Event::SignalSent { worker, lock_wait_ns: d.lock_wait.as_nanos() });
-        Some(d)
+        })
     }
 }
 
@@ -179,6 +143,11 @@ mod tests {
         SignalPath::new(KernelCosts::default(), rng(seed, 0))
     }
 
+    /// One fault-free delivery into a throwaway observer.
+    fn send(p: &mut SignalPath, now: SimTime) -> SignalDelivery {
+        p.deliver(now, None, 0, &mut Observer::counters_only()).expect("no fault injected")
+    }
+
     #[test]
     fn uncontended_latency_near_floor() {
         let mut p = path(1);
@@ -186,7 +155,7 @@ mod tests {
         let n = 200;
         for i in 0..n {
             // Spread sends 1 ms apart: never contended.
-            let d = p.deliver(SimTime::from_nanos(i * 1_000_000));
+            let d = send(&mut p, SimTime::from_nanos(i * 1_000_000));
             assert_eq!(d.lock_wait, SimDur::ZERO);
             total += d.latency.as_micros_f64();
         }
@@ -198,7 +167,7 @@ mod tests {
     fn simultaneous_storm_serializes_fifo() {
         let mut p = path(2);
         let t = SimTime::from_nanos(1_000);
-        let deliveries: Vec<SignalDelivery> = (0..32).map(|_| p.deliver(t)).collect();
+        let deliveries: Vec<SignalDelivery> = (0..32).map(|_| send(&mut p, t)).collect();
         // Strictly increasing handler start times.
         for w in deliveries.windows(2) {
             assert!(w[1].handler_start > w[0].handler_start);
@@ -217,9 +186,9 @@ mod tests {
         let avg_excess_for = |n: u64, seed: u64| {
             let mut p = path(seed);
             let t = SimTime::ZERO;
-            let lats: Vec<f64> = (0..n).map(|_| p.deliver(t).latency.as_micros_f64()).collect();
+            let lats: Vec<f64> = (0..n).map(|_| send(&mut p, t).latency.as_micros_f64()).collect();
             // A lone send much later gives the uncontended base.
-            let base = p.deliver(SimTime::from_nanos(1_000_000_000)).latency.as_micros_f64();
+            let base = send(&mut p, SimTime::from_nanos(1_000_000_000)).latency.as_micros_f64();
             lats.iter().sum::<f64>() / n as f64 - base
         };
         let a8: f64 = (0..20).map(|s| avg_excess_for(8, 100 + s)).sum::<f64>() / 20.0;
@@ -235,10 +204,10 @@ mod tests {
         let mut p = path(3);
         let t0 = SimTime::ZERO;
         for _ in 0..16 {
-            p.deliver(t0);
+            send(&mut p, t0);
         }
         // Much later, a single send is uncontended again.
-        let lone = p.deliver(SimTime::from_nanos(10_000_000));
+        let lone = send(&mut p, SimTime::from_nanos(10_000_000));
         assert_eq!(lone.lock_wait, SimDur::ZERO);
         assert!(lone.latency.as_micros_f64() < 12.0);
         assert_eq!(p.delivered(), 17);
@@ -246,12 +215,12 @@ mod tests {
 
     #[test]
     fn observed_delivery_carries_lock_wait() {
-        use lp_sim::obs::{Counter, Observer};
+        use lp_sim::obs::Counter;
         let mut p = path(5);
         let mut obs = Observer::new(8);
         let t = SimTime::from_nanos(500);
-        let first = p.deliver_observed(t, 1, &mut obs);
-        let second = p.deliver_observed(t, 2, &mut obs); // queues behind first
+        let first = p.deliver(t, None, 1, &mut obs).unwrap();
+        let second = p.deliver(t, None, 2, &mut obs).unwrap(); // queues behind first
         assert_eq!(obs.metrics().get(Counter::SignalsSent), 2);
         let evs: Vec<_> = obs.events().copied().collect();
         assert_eq!(
@@ -266,33 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_delivery_matches_plain_path() {
-        let mut a = path(6);
-        let mut b = path(6);
-        for i in 0..100u64 {
-            let t = SimTime::from_nanos(i * 3_000);
-            assert_eq!(a.deliver_with_fault(t, None), Some(b.deliver(t)));
-        }
-    }
-
-    #[test]
     fn injected_signal_faults() {
         use lp_sim::fault::SignalFault;
         let mut p = path(7);
         let t = SimTime::from_nanos(1_000);
         // A lost signal changes nothing: no delivery count, no lock
         // state, so the next send is uncontended.
-        assert_eq!(p.deliver_with_fault(t, Some(SignalFault::Lost)), None);
+        assert_eq!(p.deliver(t, Some(SignalFault::Lost), 0, &mut Observer::counters_only()), None);
         assert_eq!(p.delivered(), 0);
-        let after = p.deliver(t);
+        let after = send(&mut p, t);
         assert_eq!(after.lock_wait, SimDur::ZERO);
         // A contention burst dilates the hold like a real storm.
         let mut calm = path(8);
         let mut stormy = path(8);
         let later = SimTime::from_nanos(50_000_000);
-        let base = calm.deliver(later);
+        let base = send(&mut calm, later);
         let burst = stormy
-            .deliver_with_fault(later, Some(SignalFault::ContentionBurst(16)))
+            .deliver(later, Some(SignalFault::ContentionBurst(16)), 0, &mut Observer::counters_only())
             .unwrap();
         assert!(
             burst.latency > base.latency,
@@ -305,11 +264,10 @@ mod tests {
     #[test]
     fn lost_signal_emits_no_event() {
         use lp_sim::fault::SignalFault;
-        use lp_sim::obs::{Counter, Observer};
+        use lp_sim::obs::Counter;
         let mut p = path(9);
         let mut obs = Observer::new(4);
-        let out =
-            p.deliver_with_fault_observed(SimTime::ZERO, Some(SignalFault::Lost), 3, &mut obs);
+        let out = p.deliver(SimTime::ZERO, Some(SignalFault::Lost), 3, &mut obs);
         assert!(out.is_none());
         assert_eq!(obs.metrics().get(Counter::SignalsSent), 0);
     }
@@ -320,7 +278,7 @@ mod tests {
         // zero — the "per-thread (aligned)" strategy of Fig. 11.
         let mut p = path(4);
         for i in 0..32u64 {
-            let d = p.deliver(SimTime::from_nanos(i * 50_000)); // 50 us apart
+            let d = send(&mut p, SimTime::from_nanos(i * 50_000)); // 50 us apart
             assert_eq!(d.lock_wait, SimDur::ZERO, "send {i} contended");
         }
     }

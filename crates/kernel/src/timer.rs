@@ -44,42 +44,18 @@ impl KernelTimer {
         self.costs.timer_arm + self.costs.syscall
     }
 
-    /// Arms the timer for `target` from now (periodic re-arm uses the
-    /// same path).
-    pub fn arm(&mut self, target: SimDur) {
-        assert!(!target.is_zero(), "cannot arm a zero-length kernel timer");
-        self.target = target;
-        self.armed = true;
-    }
-
-    /// [`arm`](Self::arm) plus a `ktimer_armed` event recording the
-    /// requested interval for `worker`.
-    pub fn arm_observed(&mut self, target: SimDur, worker: u16, at: SimTime, obs: &mut Observer) {
-        self.arm(target);
-        obs.emit(
-            at,
-            Event::KtimerArmed {
-                worker,
-                target_ns: target.as_nanos(),
-            },
-        );
-    }
-
-    /// [`sample_expiry`](Self::sample_expiry) plus a `ktimer_fired`
-    /// event stamped at the sampled expiry instant.
+    /// Arms `worker`'s timer at `at` for the interval `target` (periodic
+    /// re-arm uses the same path) and emits a `ktimer_armed` event
+    /// recording the requested interval.
     ///
     /// # Panics
     ///
-    /// Panics if the timer is not armed.
-    pub fn sample_expiry_observed(
-        &mut self,
-        worker: u16,
-        at: SimTime,
-        obs: &mut Observer,
-    ) -> SimDur {
-        let delay = self.sample_expiry();
-        obs.emit(at + delay, Event::KtimerFired { worker });
-        delay
+    /// Panics if `target` is zero.
+    pub fn arm(&mut self, target: SimDur, worker: u16, at: SimTime, obs: &mut Observer) {
+        assert!(!target.is_zero(), "cannot arm a zero-length kernel timer");
+        self.target = target;
+        self.armed = true;
+        obs.emit(at, Event::KtimerArmed { worker, target_ns: target.as_nanos() });
     }
 
     /// Disarms without firing.
@@ -97,31 +73,18 @@ impl KernelTimer {
         self.target
     }
 
-    /// Samples the *actual* delay until expiry for the armed interval.
+    /// Samples the *actual* delay until expiry of the interval armed
+    /// at `at`, and emits a `ktimer_fired` event for `worker` stamped at
+    /// the expiry instant.
     ///
-    /// # Panics
-    ///
-    /// Panics if the timer is not armed.
-    pub fn sample_expiry(&mut self) -> SimDur {
-        assert!(self.armed, "sampling expiry of a disarmed timer");
-        let effective = self.target.max(self.costs.timer_floor);
-        let mut delay = jitter::sample(&mut self.rng, effective, self.costs.timer_jitter_sigma);
-        if self.rng.gen_bool(self.costs.noise_spike_prob) {
-            delay += jitter::sample(&mut self.rng, self.costs.noise_spike, 0.4);
-        }
-        // An expiry can be late, never early.
-        delay.max(self.target)
-    }
-
-    /// [`sample_expiry`](Self::sample_expiry) with a pre-sampled fault
-    /// decision applied. The decision comes from
+    /// `fault` is a pre-sampled decision from
     /// [`FaultInjector::timer`](lp_sim::fault::FaultInjector::timer) —
     /// this layer never draws fault randomness itself.
     ///
-    /// * `None` — identical to [`sample_expiry`](Self::sample_expiry)
-    ///   (same RNG draws, same delay), wrapped in `Some`.
+    /// * `None` — the ordinary expiry.
     /// * [`TimerFault::Miss`] — the kernel loses the arming entirely:
-    ///   returns `None` and consumes no expiry randomness; the caller
+    ///   returns `None`, consumes no expiry randomness and emits nothing
+    ///   (the runtime emits the matching `fault_injected`); the caller
     ///   must not schedule a fire (the runtime watchdog recovers).
     /// * [`TimerFault::JitterSpike`] — a normal expiry, late by the
     ///   spike duration.
@@ -131,31 +94,26 @@ impl KernelTimer {
     /// # Panics
     ///
     /// Panics if the timer is not armed.
-    pub fn sample_expiry_with_fault(&mut self, fault: Option<TimerFault>) -> Option<SimDur> {
-        assert!(self.armed, "sampling expiry of a disarmed timer");
-        match fault {
-            None | Some(TimerFault::Spurious) => Some(self.sample_expiry()),
-            Some(TimerFault::Miss) => None,
-            Some(TimerFault::JitterSpike(extra)) => Some(self.sample_expiry() + extra),
-        }
-    }
-
-    /// [`sample_expiry_with_fault`](Self::sample_expiry_with_fault) plus
-    /// the `ktimer_fired` event when an expiry actually fires. A missed
-    /// expiry emits nothing here — the runtime emits the matching
-    /// `fault_injected` event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the timer is not armed.
-    pub fn sample_expiry_with_fault_observed(
+    pub fn sample_expiry(
         &mut self,
         fault: Option<TimerFault>,
         worker: u16,
         at: SimTime,
         obs: &mut Observer,
     ) -> Option<SimDur> {
-        let delay = self.sample_expiry_with_fault(fault)?;
+        assert!(self.armed, "sampling expiry of a disarmed timer");
+        let spike = match fault {
+            None | Some(TimerFault::Spurious) => SimDur::ZERO,
+            Some(TimerFault::Miss) => return None,
+            Some(TimerFault::JitterSpike(extra)) => extra,
+        };
+        let effective = self.target.max(self.costs.timer_floor);
+        let mut delay = jitter::sample(&mut self.rng, effective, self.costs.timer_jitter_sigma);
+        if self.rng.gen_bool(self.costs.noise_spike_prob) {
+            delay += jitter::sample(&mut self.rng, self.costs.noise_spike, 0.4);
+        }
+        // An expiry can be late, never early.
+        let delay = delay.max(self.target) + spike;
         obs.emit(at + delay, Event::KtimerFired { worker });
         Some(delay)
     }
@@ -170,6 +128,19 @@ mod tests {
         KernelTimer::new(KernelCosts::default(), rng(seed, 1))
     }
 
+    fn arm(t: &mut KernelTimer, target: SimDur) {
+        t.arm(target, 0, SimTime::ZERO, &mut Observer::counters_only());
+    }
+
+    /// One expiry with an optional fault into a throwaway observer.
+    fn expiry_with(t: &mut KernelTimer, fault: Option<TimerFault>) -> Option<SimDur> {
+        t.sample_expiry(fault, 0, SimTime::ZERO, &mut Observer::counters_only())
+    }
+
+    fn expiry(t: &mut KernelTimer) -> SimDur {
+        expiry_with(t, None).expect("no fault injected")
+    }
+
     fn mean_std(samples: &[f64]) -> (f64, f64) {
         let n = samples.len() as f64;
         let m = samples.iter().sum::<f64>() / n;
@@ -181,8 +152,8 @@ mod tests {
     fn sub_floor_target_quantizes_up() {
         // Fig. 12: a 20 us request fires around the ~55-60 us floor.
         let mut t = timer(1);
-        t.arm(SimDur::micros(20));
-        let xs: Vec<f64> = (0..5_000).map(|_| t.sample_expiry().as_micros_f64()).collect();
+        arm(&mut t, SimDur::micros(20));
+        let xs: Vec<f64> = (0..5_000).map(|_| expiry(&mut t).as_micros_f64()).collect();
         let (m, s) = mean_std(&xs);
         assert!((45.0..75.0).contains(&m), "mean = {m} us");
         assert!(s > 5.0, "kernel timer must jitter, std = {s} us");
@@ -191,8 +162,8 @@ mod tests {
     #[test]
     fn above_floor_tracks_target_with_jitter() {
         let mut t = timer(2);
-        t.arm(SimDur::micros(100));
-        let xs: Vec<f64> = (0..5_000).map(|_| t.sample_expiry().as_micros_f64()).collect();
+        arm(&mut t, SimDur::micros(100));
+        let xs: Vec<f64> = (0..5_000).map(|_| expiry(&mut t).as_micros_f64()).collect();
         let (m, s) = mean_std(&xs);
         assert!((95.0..125.0).contains(&m), "mean = {m} us");
         assert!(s > 10.0, "std = {s} us");
@@ -201,9 +172,9 @@ mod tests {
     #[test]
     fn never_fires_early() {
         let mut t = timer(3);
-        t.arm(SimDur::micros(80));
+        arm(&mut t, SimDur::micros(80));
         for _ in 0..2_000 {
-            assert!(t.sample_expiry() >= SimDur::micros(80));
+            assert!(expiry(&mut t) >= SimDur::micros(80));
         }
     }
 
@@ -211,7 +182,7 @@ mod tests {
     fn arm_disarm_state() {
         let mut t = timer(4);
         assert!(!t.is_armed());
-        t.arm(SimDur::micros(10));
+        arm(&mut t, SimDur::micros(10));
         assert!(t.is_armed());
         assert_eq!(t.target(), SimDur::micros(10));
         t.disarm();
@@ -220,13 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_arm_and_expiry_emit_events() {
-        use lp_sim::obs::{Counter, Event, Observer};
+    fn arm_and_expiry_emit_events() {
+        use lp_sim::obs::Counter;
         let mut t = timer(7);
         let mut obs = Observer::new(8);
         let at = SimTime::from_nanos(1_000);
-        t.arm_observed(SimDur::micros(30), 4, at, &mut obs);
-        let delay = t.sample_expiry_observed(4, at, &mut obs);
+        t.arm(SimDur::micros(30), 4, at, &mut obs);
+        let delay = t.sample_expiry(None, 4, at, &mut obs).unwrap();
         assert_eq!(obs.metrics().get(Counter::KtimersArmed), 1);
         assert_eq!(obs.metrics().get(Counter::KtimersFired), 1);
         let evs: Vec<_> = obs.events().copied().collect();
@@ -240,59 +211,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "disarmed timer")]
     fn sampling_disarmed_panics() {
-        timer(5).sample_expiry();
-    }
-
-    #[test]
-    fn fault_free_expiry_matches_plain_sampling() {
-        // Same seed, no fault: the `_with_fault` path must consume the
-        // RNG identically to the plain one.
-        let mut a = timer(8);
-        let mut b = timer(8);
-        a.arm(SimDur::micros(60));
-        b.arm(SimDur::micros(60));
-        for _ in 0..500 {
-            assert_eq!(a.sample_expiry_with_fault(None), Some(b.sample_expiry()));
-        }
+        expiry(&mut timer(5));
     }
 
     #[test]
     fn injected_timer_faults() {
-        use lp_sim::fault::TimerFault;
         let mut t = timer(9);
-        t.arm(SimDur::micros(60));
+        arm(&mut t, SimDur::micros(60));
         // A miss never fires and leaves the timer armed for re-use.
-        assert_eq!(t.sample_expiry_with_fault(Some(TimerFault::Miss)), None);
+        assert_eq!(expiry_with(&mut t, Some(TimerFault::Miss)), None);
         assert!(t.is_armed());
         // A spike is a normal expiry pushed later by exactly the spike.
         let mut u = timer(10);
         let mut v = timer(10);
-        u.arm(SimDur::micros(60));
-        v.arm(SimDur::micros(60));
-        let plain = v.sample_expiry();
-        let spiked = u
-            .sample_expiry_with_fault(Some(TimerFault::JitterSpike(SimDur::micros(40))))
-            .unwrap();
-        assert_eq!(spiked, plain + SimDur::micros(40));
+        arm(&mut u, SimDur::micros(60));
+        arm(&mut v, SimDur::micros(60));
+        let plain = expiry(&mut v);
+        let spiked = expiry_with(&mut u, Some(TimerFault::JitterSpike(SimDur::micros(40))));
+        assert_eq!(spiked, Some(plain + SimDur::micros(40)));
         // Spurious fires normally (the extra fire is the caller's job).
         let mut w = timer(10);
-        w.arm(SimDur::micros(60));
-        assert_eq!(w.sample_expiry_with_fault(Some(TimerFault::Spurious)), Some(plain));
+        arm(&mut w, SimDur::micros(60));
+        assert_eq!(expiry_with(&mut w, Some(TimerFault::Spurious)), Some(plain));
     }
 
     #[test]
     fn missed_expiry_emits_no_fire_event() {
-        use lp_sim::fault::TimerFault;
-        use lp_sim::obs::{Counter, Observer};
+        use lp_sim::obs::Counter;
         let mut t = timer(11);
         let mut obs = Observer::new(4);
-        t.arm_observed(SimDur::micros(30), 2, SimTime::ZERO, &mut obs);
-        let fired = t.sample_expiry_with_fault_observed(
-            Some(TimerFault::Miss),
-            2,
-            SimTime::ZERO,
-            &mut obs,
-        );
+        t.arm(SimDur::micros(30), 2, SimTime::ZERO, &mut obs);
+        let fired = t.sample_expiry(Some(TimerFault::Miss), 2, SimTime::ZERO, &mut obs);
         assert_eq!(fired, None);
         assert_eq!(obs.metrics().get(Counter::KtimersArmed), 1);
         assert_eq!(obs.metrics().get(Counter::KtimersFired), 0);
@@ -301,6 +250,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_arm_panics() {
-        timer(6).arm(SimDur::ZERO);
+        arm(&mut timer(6), SimDur::ZERO);
     }
 }

@@ -28,7 +28,7 @@ use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_hw::{CoreClock, HwCosts, TimeClass};
 use lp_kernel::{KernelCosts, KernelTimer, SignalPath};
 use lp_sim::fault::{CoreFault, FaultInjector, FaultPlan, IpiFault, TimerFault};
-use lp_sim::obs::{Event, Observer};
+use lp_sim::obs::{Counter, Event, Observer};
 use lp_sim::rng::{rng, streams};
 use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
 use lp_stats::{Histogram, TimeSeries, WindowStats, WindowSummary};
@@ -569,8 +569,7 @@ impl LibPreemptibleSystem {
         match self.cfg.mech {
             PreemptMech::Uintr | PreemptMech::TimerCoreSignal => {
                 let slot = self.workers[worker].slot;
-                self.registry
-                    .arm_observed(slot, start + q, start, &mut self.obs);
+                self.registry.arm(slot, start + q, start, &mut self.obs);
                 self.armed_for[slot.index()] = Some((worker, seq));
                 self.update_timer_check(ctx);
                 // utimer_arm_deadline is one cache-line write (which
@@ -589,15 +588,10 @@ impl LibPreemptibleSystem {
                     );
                 }
                 let w = &mut self.workers[worker];
-                w.ktimer.arm_observed(q, worker as u16, start, &mut self.obs);
+                w.ktimer.arm(q, worker as u16, start, &mut self.obs);
                 // The hardware timer fires regardless of whether the
                 // expiry turns out stale: record it at the fire instant.
-                let actual = w.ktimer.sample_expiry_with_fault_observed(
-                    fault,
-                    worker as u16,
-                    start,
-                    &mut self.obs,
-                );
+                let actual = w.ktimer.sample_expiry(fault, worker as u16, start, &mut self.obs);
                 let cost = w.ktimer.arm_cost();
                 match actual {
                     Some(delay) => {
@@ -634,7 +628,7 @@ impl LibPreemptibleSystem {
         match self.cfg.mech {
             PreemptMech::Uintr | PreemptMech::TimerCoreSignal => {
                 let slot = self.workers[worker].slot;
-                self.registry.disarm_observed(slot, ctx.now(), &mut self.obs);
+                self.registry.disarm(slot, ctx.now(), &mut self.obs);
                 self.armed_for[slot.index()] = None;
                 self.update_timer_check(ctx);
             }
@@ -686,9 +680,7 @@ impl LibPreemptibleSystem {
         debug_assert!(!remaining.is_zero(), "starting a completed context");
         let switch = self.cfg.hw.fcontext_switch;
         let pick = self.cfg.pick_cost;
-        self.workers[worker]
-            .clock
-            .charge_observed(TimeClass::Dispatch, pick + switch, &mut self.obs);
+        self.workers[worker].clock.charge(TimeClass::Dispatch, pick + switch);
         // The switch toward this fiber begins now; `TaskStart` (stamped
         // at the actual start instant) closes the window and carries
         // its duration, so the phase accountant charges pick +
@@ -730,9 +722,7 @@ impl LibPreemptibleSystem {
         }
         let arm_extra = self.arm_deadline(worker, start, q, ctx);
         if !arm_extra.is_zero() {
-            self.workers[worker]
-                .clock
-                .charge_observed(TimeClass::Kernel, arm_extra, &mut self.obs);
+            self.workers[worker].clock.charge(TimeClass::Kernel, arm_extra);
             start += arm_extra;
         }
 
@@ -820,11 +810,8 @@ impl LibPreemptibleSystem {
                     match victim {
                         Some(v) => {
                             // Stealing touches a remote queue: extra cost.
-                            self.workers[worker].clock.charge_observed(
-                                TimeClass::Dispatch,
-                                self.cfg.pick_cost,
-                                &mut self.obs,
-                            );
+                            let pick = self.cfg.pick_cost;
+                            self.workers[worker].clock.charge(TimeClass::Dispatch, pick);
                             self.workers[v].local.pop_back().expect("victim non-empty")
                         }
                         None => return, // raced away
@@ -879,8 +866,7 @@ impl LibPreemptibleSystem {
                             // its probe turns.
                             let issue = self.jitter(self.cfg.hw.senduipi_issue);
                             issue_at += issue;
-                            self.timer_clock
-                                .charge_observed(TimeClass::Preemption, issue, &mut self.obs);
+                            self.timer_clock.charge(TimeClass::Preemption, issue);
                             let probe = verdict == RetryOutput::Probe;
                             self.send_preempt_uipi(worker, seq, issue_at, 0, probe, ctx);
                         }
@@ -939,14 +925,7 @@ impl LibPreemptibleSystem {
         // Workers are on-CPU; the architectural fast path.
         let outcome = self
             .uintr
-            .senduipi_with_fault_observed(
-                entry,
-                ReceiverState::RunningUifSet,
-                fault,
-                worker as u16,
-                at,
-                &mut self.obs,
-            )
+            .senduipi(entry, ReceiverState::RunningUifSet, fault, worker as u16, at, &mut self.obs)
             .expect("live UPID");
         if outcome == SendOutcome::NotifiedRunning {
             let mut delivery = self.jitter(self.cfg.hw.uintr_delivery_running);
@@ -955,10 +934,15 @@ impl LibPreemptibleSystem {
             }
             // The PUIR is acknowledged the instant the interrupt
             // lands; stamp the delivery event there so the trace
-            // reads in causal order.
-            self.uintr
-                .acknowledge_observed(entry.upid, worker as u16, at + delivery, &mut self.obs)
-                .expect("live UPID");
+            // reads in causal order. More than one drained vector
+            // means sends coalesced into this notification.
+            let bits = self.uintr.acknowledge(entry.upid).expect("live UPID");
+            if bits != 0 {
+                self.obs.emit(
+                    at + delivery,
+                    Event::UipiDelivered { worker: worker as u16, coalesced: bits.count_ones() > 1 },
+                );
+            }
             ctx.at(at + delivery, Ev::PreemptArrive { worker, seq, uintr: true });
         }
         // Any other outcome is a lost preemption; the watchdog notices.
@@ -1011,21 +995,13 @@ impl LibPreemptibleSystem {
                 let _ = self.uintr.acknowledge(entry.upid);
             }
         }
-        if let Some(d) =
-            self.signal_path
-                .deliver_with_fault_observed(at, fault, worker as u16, &mut self.obs)
-        {
+        if let Some(d) = self.signal_path.deliver(at, fault, worker as u16, &mut self.obs) {
             if self.cfg.mech.needs_timer_core() {
-                self.timer_clock
-                    .charge_observed(TimeClass::Preemption, d.sender_busy, &mut self.obs);
+                self.timer_clock.charge(TimeClass::Preemption, d.sender_busy);
             } else {
                 // No timer core: the kernel's send work lands on the
                 // victim's own core.
-                self.workers[worker].clock.charge_observed(
-                    TimeClass::Kernel,
-                    d.sender_busy,
-                    &mut self.obs,
-                );
+                self.workers[worker].clock.charge(TimeClass::Kernel, d.sender_busy);
             }
             ctx.at(d.handler_start, Ev::PreemptArrive { worker, seq, uintr: false });
         }
@@ -1212,12 +1188,8 @@ impl LibPreemptibleSystem {
                 debug_assert!(started_at <= now);
                 let executed = now.saturating_since(started_at);
                 let w = &mut self.workers[worker];
-                w.clock.charge_observed(TimeClass::Work, executed, &mut self.obs);
-                w.clock.charge_observed(
-                    TimeClass::Preemption,
-                    recv_cost + self.cfg.hw.fcontext_switch,
-                    &mut self.obs,
-                );
+                w.clock.charge(TimeClass::Work, executed);
+                w.clock.charge(TimeClass::Preemption, recv_cost + self.cfg.hw.fcontext_switch);
                 w.seq += 1;
                 w.state = WState::Idle;
                 // The send landed: retire its watchdog deadline before
@@ -1293,21 +1265,13 @@ impl LibPreemptibleSystem {
                     seq: w_seq,
                 });
                 self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
-                self.workers[worker].clock.charge_observed(
-                    TimeClass::Preemption,
-                    recv_cost,
-                    &mut self.obs,
-                );
+                self.workers[worker].clock.charge(TimeClass::Preemption, recv_cost);
             }
             WState::Idle => {
                 // Spurious delivery to an idle worker: handler cost only.
                 self.spurious += 1;
                 self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
-                self.workers[worker].clock.charge_observed(
-                    TimeClass::Preemption,
-                    recv_cost,
-                    &mut self.obs,
-                );
+                self.workers[worker].clock.charge(TimeClass::Preemption, recv_cost);
             }
         }
     }
@@ -1358,9 +1322,7 @@ impl LibPreemptibleSystem {
         };
         let now = ctx.now();
         let executed = now.saturating_since(started);
-        self.workers[worker]
-            .clock
-            .charge_observed(TimeClass::Work, executed, &mut self.obs);
+        self.workers[worker].clock.charge(TimeClass::Work, executed);
         self.disarm_deadline(worker, ctx);
         let (arrived, total) = {
             let c = self.pool.get(id);
@@ -1427,8 +1389,7 @@ impl Model for LibPreemptibleSystem {
                 // Dispatcher serializes request handling.
                 let start = self.dispatch_free_at.max(now);
                 let cost = self.cfg.dispatch_cost;
-                self.dispatcher_clock
-                    .charge_observed(TimeClass::Dispatch, cost, &mut self.obs);
+                self.dispatcher_clock.charge(TimeClass::Dispatch, cost);
                 self.dispatch_free_at = start + cost;
                 ctx.at(self.dispatch_free_at, Ev::Dispatched);
 
@@ -1543,17 +1504,10 @@ impl Model for LibPreemptibleSystem {
                     // time to the victim's core. A lost signal schedules
                     // nothing — the watchdog armed at the expiry instant
                     // recovers it.
-                    if let Some(d) = self.signal_path.deliver_with_fault_observed(
-                        now,
-                        fault,
-                        worker as u16,
-                        &mut self.obs,
-                    ) {
-                        self.workers[worker].clock.charge_observed(
-                            TimeClass::Kernel,
-                            d.sender_busy,
-                            &mut self.obs,
-                        );
+                    if let Some(d) =
+                        self.signal_path.deliver(now, fault, worker as u16, &mut self.obs)
+                    {
+                        self.workers[worker].clock.charge(TimeClass::Kernel, d.sender_busy);
                         ctx.at(d.handler_start, Ev::PreemptArrive { worker, seq, uintr: false });
                     }
                 }
@@ -1583,6 +1537,15 @@ impl Model for LibPreemptibleSystem {
         }
     }
 }
+
+/// Each core time class and the counter that reports it.
+const CORE_COUNTERS: [(TimeClass, Counter); 5] = [
+    (TimeClass::Work, Counter::CoreWorkNs),
+    (TimeClass::Preemption, Counter::CorePreemptionNs),
+    (TimeClass::Dispatch, Counter::CoreDispatchNs),
+    (TimeClass::TimerPoll, Counter::CoreTimerPollNs),
+    (TimeClass::Kernel, Counter::CoreKernelNs),
+];
 
 /// Runs LibPreemptible on the given workload and returns the report.
 ///
@@ -1636,6 +1599,12 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
         cores.merge(w);
     }
     cores.merge(&m.dispatcher_clock);
+    // The `core_*_ns` counters are the metrics-side view of the clocks:
+    // everything the model charged, before the synthesized idle fill.
+    for (class, counter) in CORE_COUNTERS {
+        let ns = cores.charged(class) + m.timer_clock.charged(class);
+        m.obs.metrics_mut().add(counter, ns.as_nanos());
+    }
     let mut timer_core = m.timer_clock.clone();
     if timer_cores > 0 {
         // The dedicated timer core is busy-polling whenever it is not

@@ -77,7 +77,7 @@ struct SlotMeta {
 /// let mut obs = Observer::counters_only();
 /// let mut fired = Vec::new();
 /// let slot = reg.register();
-/// reg.arm(slot, SimTime::from_nanos(5_000));
+/// reg.arm(slot, SimTime::from_nanos(5_000), SimTime::ZERO, &mut obs);
 /// reg.poll(SimTime::from_nanos(4_999), &mut fired, &mut obs);
 /// assert_eq!(fired, []);
 /// reg.poll(SimTime::from_nanos(5_000), &mut fired, &mut obs);
@@ -132,12 +132,12 @@ impl UtimerRegistry {
     }
 
     /// Arms `slot` to fire at `deadline` (`utimer_arm_deadline`): just a
-    /// memory write.
+    /// memory write, plus a `deadline_armed` event stamped `at`.
     ///
     /// # Panics
     ///
     /// Panics if the slot was never registered.
-    pub fn arm(&mut self, slot: SlotId, deadline: SimTime) {
+    pub fn arm(&mut self, slot: SlotId, deadline: SimTime, at: SimTime, obs: &mut Observer) {
         let line = self
             .lines
             .get_mut(slot.0)
@@ -147,40 +147,18 @@ impl UtimerRegistry {
         }
         line.deadline = Some(deadline);
         line.arm_gen = line.arm_gen.wrapping_add(1);
+        obs.emit(at, Event::DeadlineArmed { slot: slot.0 as u16, deadline_ns: deadline.as_nanos() });
     }
 
-    /// Disarms `slot` (worker finished or yielded before expiry).
-    pub fn disarm(&mut self, slot: SlotId) {
+    /// Disarms `slot` (worker finished or yielded before expiry). Emits
+    /// a `deadline_disarmed` event stamped `at` only when the slot was
+    /// actually armed.
+    pub fn disarm(&mut self, slot: SlotId, at: SimTime, obs: &mut Observer) {
         if let Some(line) = self.lines.get_mut(slot.0) {
             if line.deadline.take().is_some() {
                 self.armed -= 1;
+                obs.emit(at, Event::DeadlineDisarmed { slot: slot.0 as u16 });
             }
-        }
-    }
-
-    /// [`arm`](Self::arm) plus a `deadline_armed` event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot was never registered.
-    pub fn arm_observed(&mut self, slot: SlotId, deadline: SimTime, at: SimTime, obs: &mut Observer) {
-        self.arm(slot, deadline);
-        obs.emit(
-            at,
-            Event::DeadlineArmed {
-                slot: slot.0 as u16,
-                deadline_ns: deadline.as_nanos(),
-            },
-        );
-    }
-
-    /// [`disarm`](Self::disarm) plus a `deadline_disarmed` event — only
-    /// emitted when the slot was actually armed.
-    pub fn disarm_observed(&mut self, slot: SlotId, at: SimTime, obs: &mut Observer) {
-        let was_armed = self.deadline(slot).is_some();
-        self.disarm(slot);
-        if was_armed {
-            obs.emit(at, Event::DeadlineDisarmed { slot: slot.0 as u16 });
         }
     }
 
@@ -312,6 +290,14 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    fn arm(r: &mut UtimerRegistry, slot: SlotId, deadline: SimTime) {
+        r.arm(slot, deadline, SimTime::ZERO, &mut Observer::counters_only());
+    }
+
+    fn disarm(r: &mut UtimerRegistry, slot: SlotId) {
+        r.disarm(slot, SimTime::ZERO, &mut Observer::counters_only());
+    }
+
     /// One poll with a fresh buffer and a throwaway observer.
     fn expired(r: &mut UtimerRegistry, now: SimTime) -> Vec<SlotId> {
         let mut fired = Vec::new();
@@ -324,8 +310,8 @@ mod tests {
         let mut r = UtimerRegistry::new();
         let a = r.register();
         let b = r.register();
-        r.arm(a, t(100));
-        r.arm(b, t(200));
+        arm(&mut r, a, t(100));
+        arm(&mut r, b, t(200));
         assert_eq!(r.armed(), 2);
         assert_eq!(r.next_deadline(), Some(t(100)));
         assert_eq!(expired(&mut r, t(150)), vec![a]);
@@ -339,8 +325,8 @@ mod tests {
     fn registry_rearm_overwrites() {
         let mut r = UtimerRegistry::new();
         let a = r.register();
-        r.arm(a, t(100));
-        r.arm(a, t(500)); // quantum extended
+        arm(&mut r, a, t(100));
+        arm(&mut r, a, t(500)); // quantum extended
         assert_eq!(r.armed(), 1);
         assert_eq!(expired(&mut r, t(200)), vec![]);
         assert_eq!(expired(&mut r, t(500)), vec![a]);
@@ -350,12 +336,12 @@ mod tests {
     fn registry_disarm() {
         let mut r = UtimerRegistry::new();
         let a = r.register();
-        r.arm(a, t(100));
-        r.disarm(a);
+        arm(&mut r, a, t(100));
+        disarm(&mut r, a);
         assert_eq!(r.armed(), 0);
         assert!(expired(&mut r, t(1_000)).is_empty());
         // Disarming a disarmed slot is a no-op.
-        r.disarm(a);
+        disarm(&mut r, a);
         assert_eq!(r.armed(), 0);
     }
 
@@ -365,9 +351,9 @@ mod tests {
         let a = r.register();
         let b = r.register();
         let c = r.register();
-        r.arm(c, t(10));
-        r.arm(a, t(10));
-        r.arm(b, t(10));
+        arm(&mut r, c, t(10));
+        arm(&mut r, a, t(10));
+        arm(&mut r, b, t(10));
         assert_eq!(expired(&mut r, t(10)), vec![a, b, c]);
     }
 
@@ -379,7 +365,7 @@ mod tests {
         assert_eq!(r.label(plain), None);
         assert_eq!(r.label(named), Some("worker-3"));
         // Labels are inert metadata: arming/firing ignores them.
-        r.arm(named, t(10));
+        arm(&mut r, named, t(10));
         assert_eq!(expired(&mut r, t(10)), vec![named]);
         assert_eq!(r.label(named), Some("worker-3"));
         assert_eq!(r.label(SlotId(99)), None);
@@ -390,12 +376,12 @@ mod tests {
         let mut r = UtimerRegistry::new();
         let a = r.register();
         assert_eq!(r.arm_generation(a), 0);
-        r.arm(a, t(100));
-        r.arm(a, t(200)); // re-arm, same slot
+        arm(&mut r, a, t(100));
+        arm(&mut r, a, t(200)); // re-arm, same slot
         assert_eq!(r.arm_generation(a), 2);
-        r.disarm(a);
+        disarm(&mut r, a);
         assert_eq!(r.arm_generation(a), 2, "disarm is not an arm");
-        r.arm(a, t(300));
+        arm(&mut r, a, t(300));
         assert_eq!(r.arm_generation(a), 3);
     }
 
@@ -408,22 +394,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_observed_emits_schema_events() {
+    fn registry_emits_schema_events() {
         use lp_sim::obs::Counter;
         let mut r = UtimerRegistry::new();
         let a = r.register();
         let mut obs = Observer::new(16);
         let mut fired = vec![a];
-        r.arm_observed(a, t(500), t(100), &mut obs);
+        r.arm(a, t(500), t(100), &mut obs);
         // Empty poll still records the scan, and clears the buffer.
         r.poll(t(200), &mut fired, &mut obs);
         assert!(fired.is_empty());
         r.poll(t(600), &mut fired, &mut obs);
         assert_eq!(fired, vec![a]);
         // Disarming an already-fired slot emits nothing.
-        r.disarm_observed(a, t(700), &mut obs);
-        r.arm_observed(a, t(900), t(800), &mut obs);
-        r.disarm_observed(a, t(850), &mut obs);
+        r.disarm(a, t(700), &mut obs);
+        r.arm(a, t(900), t(800), &mut obs);
+        r.disarm(a, t(850), &mut obs);
         let m = obs.metrics();
         assert_eq!(m.get(Counter::DeadlinesArmed), 2);
         assert_eq!(m.get(Counter::DeadlinesDisarmed), 1);
@@ -440,7 +426,7 @@ mod tests {
     #[should_panic(expected = "arming unregistered slot")]
     fn arming_unregistered_panics() {
         let mut r = UtimerRegistry::new();
-        r.arm(SlotId(3), t(1));
+        arm(&mut r, SlotId(3), t(1));
     }
 
     #[test]

@@ -118,16 +118,16 @@ proptest! {
         step in 1u64..10_000,
     ) {
         let mut reg = UtimerRegistry::new();
+        let mut obs = Observer::counters_only();
         let slots: Vec<_> = deadlines
             .iter()
             .map(|&d| {
                 let s = reg.register();
-                reg.arm(s, SimTime::from_nanos(d));
+                reg.arm(s, SimTime::from_nanos(d), SimTime::ZERO, &mut obs);
                 s
             })
             .collect();
         let mut fired_at: Vec<Option<u64>> = vec![None; slots.len()];
-        let mut obs = Observer::counters_only();
         let mut fired = Vec::new();
         let mut now = 0;
         while reg.armed() > 0 {

@@ -129,6 +129,18 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Empties the histogram but keeps its bucket storage, so a
+    /// histogram reset every window stops reallocating once it has
+    /// grown to the window's range. Trailing zero buckets are invisible
+    /// to every query.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
+    }
+
     /// Merges another histogram into this one.
     ///
     /// # Panics

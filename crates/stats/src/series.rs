@@ -216,8 +216,10 @@ impl WindowStats {
             arrived: self.arrived,
             service_scv,
         };
-        *self = WindowStats::new();
-        self.window_start = now_ns;
+        // Reset in place: the latency histogram keeps its storage.
+        let mut latency = std::mem::take(&mut self.latency);
+        latency.clear();
+        *self = WindowStats { latency, window_start: now_ns, ..WindowStats::new() };
         summary
     }
 

@@ -13,18 +13,19 @@ use lp_sim::SimTime;
 
 fn main() {
     // --- LibUtimer deadline slots (utimer_register / arm_deadline) ---
+    // Every mechanism call records its events into one observer.
+    let mut obs = Observer::counters_only();
     let mut reg = UtimerRegistry::new();
     let workers: Vec<_> = (0..4).map(|_| reg.register()).collect();
     // Workers arm staggered 5/10/15/20 us deadlines (one cacheline
     // write each — no syscall, which is the whole point).
     for (i, &slot) in workers.iter().enumerate() {
-        reg.arm(slot, SimTime::from_nanos(5_000 * (i as u64 + 1)));
+        reg.arm(slot, SimTime::from_nanos(5_000 * (i as u64 + 1)), SimTime::ZERO, &mut obs);
     }
     println!("armed {} deadline slots; earliest = {:?}", reg.armed(), reg.next_deadline());
 
     // The timer core polls the TSC and collects expiries into one
     // reused buffer.
-    let mut obs = Observer::counters_only();
     let mut due = Vec::new();
     let mut fired = Vec::new();
     for t in [6_000u64, 12_000, 22_000] {
@@ -53,8 +54,11 @@ fn main() {
     let idx = uitt.register(receiver, 0); // vector 0 = "deadline"
 
     let entry = uitt.get(idx).unwrap();
-    let first = dom.senduipi(entry, ReceiverState::RunningUifSet).unwrap();
-    let second = dom.senduipi(entry, ReceiverState::RunningUifSet).unwrap();
+    let mut send = |dom: &mut UintrDomain, receiver_state| {
+        dom.senduipi(entry, receiver_state, None, 0, SimTime::ZERO, &mut obs).unwrap()
+    };
+    let first = send(&mut dom, ReceiverState::RunningUifSet);
+    let second = send(&mut dom, ReceiverState::RunningUifSet);
     println!("first SENDUIPI:  {first:?}");
     println!("second SENDUIPI: {second:?} (hardware coalesces while ON=1)");
     assert_eq!(first, SendOutcome::NotifiedRunning);
@@ -65,7 +69,7 @@ fn main() {
 
     // Blocked receivers take the kernel-assisted slow path — the
     // "uintrFd (blocked)" row of Table IV.
-    let blocked = dom.senduipi(entry, ReceiverState::Blocked).unwrap();
+    let blocked = send(&mut dom, ReceiverState::Blocked);
     println!("send to blocked receiver: {blocked:?}");
     assert_eq!(blocked, SendOutcome::NotifiedBlocked);
 }

@@ -2,7 +2,10 @@
 //! up its queues, pools and histograms, simulating longer must not cost
 //! more heap allocations. A counting global allocator measures two runs
 //! that differ only in simulated duration; the difference must be a
-//! small constant, not a per-preemption or per-request cost.
+//! small constant, not a per-preemption, per-request or per-control-
+//! window cost. Every variant runs with a 2 ms control period, so a
+//! 200 ms run rolls the controller's window 75 more times than a 50 ms
+//! one.
 //!
 //! The file holds a single test so no concurrent test thread can
 //! allocate while a run is being counted.
@@ -10,7 +13,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use libpreemptible::{run, FcfsPreempt, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::runtime::AdmissionConfig;
+use libpreemptible::{
+    run, AdaptiveConfig, FcfsPreempt, PreemptMech, QuantumController, RuntimeConfig, SchedPolicy,
+    ServiceSource, WorkloadSpec,
+};
+use lp_sim::fault::FaultPlan;
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
@@ -37,21 +45,40 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations of one preemption-heavy run of `ms` simulated
-/// milliseconds: 4 workers, exponential service (workload B) at 75%
-/// load, UINTR preemption with a 10 us quantum.
-fn allocs_for(ms: u64) -> (u64, u64) {
+/// 4 workers, exponential service (workload B) at 75% load.
+fn dist_and_rate() -> (ServiceDist, f64) {
     let dist = ServiceDist::workload_b();
     let rate = dist.rate_for_utilization(0.75, 4);
+    (dist, rate)
+}
+
+/// Builds a fresh policy for each run.
+type MakePolicy = fn() -> Box<dyn SchedPolicy>;
+
+fn fixed() -> Box<dyn SchedPolicy> {
+    Box::new(FcfsPreempt::fixed(SimDur::micros(10)))
+}
+
+fn adaptive() -> Box<dyn SchedPolicy> {
+    let max_load = ServiceDist::workload_b().rate_for_utilization(1.0, 4);
+    let mut cfg = AdaptiveConfig::paper_defaults(max_load);
+    cfg.period = SimDur::millis(2);
+    Box::new(FcfsPreempt::adaptive(QuantumController::new(cfg, SimDur::micros(10))))
+}
+
+/// Heap allocations and preemptions of one run of `ms` simulated
+/// milliseconds under `cfg` with a fresh policy from `policy`.
+fn allocs_for(ms: u64, cfg: &RuntimeConfig, policy: MakePolicy) -> (u64, u64) {
+    let (dist, rate) = dist_and_rate();
     let spec = WorkloadSpec {
         source: ServiceSource::Phased(PhasedService::constant(dist)),
         arrivals: RateSchedule::Constant(rate),
         duration: SimDur::millis(ms),
         warmup: SimDur::millis(5),
     };
-    let policy = Box::new(FcfsPreempt::fixed(SimDur::micros(10)));
+    let (cfg, policy) = (cfg.clone(), policy());
     let before = ALLOCS.load(Ordering::SeqCst);
-    let report = run(RuntimeConfig::default(), policy, spec);
+    let report = run(cfg, policy, spec);
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
     assert!(report.is_conserved());
     (allocs, report.preemptions)
@@ -59,13 +86,34 @@ fn allocs_for(ms: u64) -> (u64, u64) {
 
 #[test]
 fn longer_runs_allocate_no_more_than_a_constant() {
-    let (short, _) = allocs_for(50);
-    let (long, preemptions) = allocs_for(200);
-    eprintln!("allocs: 50 ms {short}, 200 ms {long} ({preemptions} preemptions)");
-    assert!(preemptions > 1_000, "the probe must be preemption-heavy");
-    assert!(
-        long <= short + 32,
-        "a 200 ms run made {long} heap allocations against {short} for 50 ms: \
-         the steady state allocates"
-    );
+    let base = RuntimeConfig { control_period: SimDur::millis(2), ..RuntimeConfig::default() };
+    let faults = FaultPlan {
+        ipi_drop: 0.05,
+        timer_spike: 0.01,
+        signal_lost: 0.01,
+        core_hog: 0.000_2,
+        core_hog_ns: 50_000,
+        ..FaultPlan::default()
+    };
+    let admission = AdmissionConfig { enabled: true, ..AdmissionConfig::default() };
+    let variants: [(&str, RuntimeConfig, MakePolicy); 5] = [
+        ("fixed", base.clone(), fixed),
+        ("adaptive", base.clone(), adaptive),
+        ("faulted", RuntimeConfig { faults, ..base.clone() }, fixed),
+        ("admission-armed", RuntimeConfig { admission, ..base.clone() }, fixed),
+        ("kernel-timer", RuntimeConfig { mech: PreemptMech::KernelTimerSignal, ..base }, fixed),
+    ];
+    for (name, cfg, policy) in &variants {
+        let (short, _) = allocs_for(50, cfg, *policy);
+        let (long, preemptions) = allocs_for(200, cfg, *policy);
+        eprintln!("{name}: allocs 50 ms {short}, 200 ms {long} ({preemptions} preemptions)");
+        if *name == "fixed" {
+            assert!(preemptions > 1_000, "the probe must be preemption-heavy");
+        }
+        assert!(
+            long <= short + 32,
+            "{name}: a 200 ms run made {long} heap allocations against {short} for 50 ms: \
+             the steady state allocates"
+        );
+    }
 }

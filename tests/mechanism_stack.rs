@@ -4,6 +4,7 @@
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_hw::HwCosts;
 use lp_kernel::{IpcLatency, IpcMechanism, KernelCosts, KernelTimer, SignalPath};
+use lp_sim::obs::{Counter, Observer};
 use lp_sim::rng::rng;
 use lp_sim::{SimDur, SimTime};
 use lp_stats::Histogram;
@@ -33,6 +34,7 @@ fn hardware_vs_software_delivery_gap() {
 fn utimer_tick_through_uintr_state_machine() {
     let mut dom = UintrDomain::new();
     let mut uitt = Uitt::new();
+    let mut obs = Observer::counters_only();
     let workers: Vec<_> = (0..8)
         .map(|_| {
             let upid = dom.register_receiver();
@@ -42,21 +44,18 @@ fn utimer_tick_through_uintr_state_machine() {
 
     // Timer core finds all 8 deadlines expired in one poll; sends are
     // serialized but every worker must end up notified exactly once.
-    for &(_, idx) in &workers {
-        let entry = uitt.get(idx).unwrap();
-        assert_eq!(
-            dom.senduipi(entry, ReceiverState::RunningUifSet).unwrap(),
-            SendOutcome::NotifiedRunning
-        );
-    }
+    let mut tick = |dom: &mut UintrDomain, want: SendOutcome| {
+        for (w, &(_, idx)) in workers.iter().enumerate() {
+            let entry = uitt.get(idx).unwrap();
+            let at = SimTime::ZERO;
+            let got = dom.senduipi(entry, ReceiverState::RunningUifSet, None, w as u16, at, &mut obs);
+            assert_eq!(got.unwrap(), want);
+        }
+    };
+    tick(&mut dom, SendOutcome::NotifiedRunning);
     // A second poll tick re-sends before handlers ran: all coalesce.
-    for &(_, idx) in &workers {
-        let entry = uitt.get(idx).unwrap();
-        assert_eq!(
-            dom.senduipi(entry, ReceiverState::RunningUifSet).unwrap(),
-            SendOutcome::Coalesced
-        );
-    }
+    tick(&mut dom, SendOutcome::Coalesced);
+    assert_eq!(obs.metrics().get(Counter::UipiSent), 16, "one event per instruction");
     // Handlers drain; each sees vector 0 pending exactly once.
     for &(upid, _) in &workers {
         assert_eq!(dom.acknowledge(upid).unwrap(), 1);
@@ -71,18 +70,21 @@ fn utimer_tick_through_uintr_state_machine() {
 #[test]
 fn kernel_path_floor_and_contention() {
     let costs = KernelCosts::default();
+    let mut obs = Observer::counters_only();
     let mut t = KernelTimer::new(costs.clone(), rng(2, 0));
-    t.arm(SimDur::micros(5));
+    t.arm(SimDur::micros(5), 0, SimTime::ZERO, &mut obs);
     let mut h = Histogram::new();
     for _ in 0..2_000 {
-        h.record(t.sample_expiry().as_nanos());
+        let expiry = t.sample_expiry(None, 0, SimTime::ZERO, &mut obs).expect("no fault");
+        h.record(expiry.as_nanos());
     }
     // Asked for 5us, got the floor.
     assert!(h.mean() > 40_000.0, "mean expiry {} ns", h.mean());
 
     let mut path = SignalPath::new(costs, rng(3, 0));
-    let storm: Vec<_> = (0..16).map(|_| path.deliver(SimTime::ZERO)).collect();
-    let lone = path.deliver(SimTime::ZERO + SimDur::millis(10));
+    let mut send = |at| path.deliver(at, None, 0, &mut obs).expect("no fault");
+    let storm: Vec<_> = (0..16).map(|_| send(SimTime::ZERO)).collect();
+    let lone = send(SimTime::ZERO + SimDur::millis(10));
     assert!(
         storm.last().unwrap().latency > lone.latency * 4,
         "storm tail {} vs lone {}",

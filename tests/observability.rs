@@ -14,6 +14,7 @@ use libpreemptible::{
     run, FcfsPreempt, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
 use lp_hw::TimeClass;
+use lp_sim::fault::FaultPlan;
 use lp_sim::obs::{Event, TimedEvent};
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -170,33 +171,58 @@ impl InFlightStarts for RunReport {
 
 #[test]
 fn core_time_counters_mirror_core_clocks() {
-    let r = traced_run(PreemptMech::Uintr);
-    let m = &r.metrics;
-    assert_eq!(
-        m.counter("core_work_ns"),
-        r.cores.charged(TimeClass::Work).as_nanos()
-    );
-    assert_eq!(
-        m.counter("core_dispatch_ns"),
-        r.cores.charged(TimeClass::Dispatch).as_nanos()
-    );
-    assert_eq!(
-        m.counter("core_kernel_ns"),
-        r.cores.charged(TimeClass::Kernel).as_nanos()
-    );
-    // Preemption time is charged on the workers AND the timer core
-    // (SENDUIPI issue); `cores` aggregates workers + dispatcher only.
-    assert_eq!(
-        m.counter("core_preemption_ns"),
-        (r.cores.charged(TimeClass::Preemption)
-            + r.timer_core.charged(TimeClass::Preemption))
-        .as_nanos()
-    );
-    // The timer core's idle-fill poll time is synthesized after the run
-    // (not an emission point), so the counter stays at the polls the
-    // model observed — zero here.
-    assert_eq!(m.counter("core_timer_poll_ns"), 0);
-    assert!(m.counter("core_work_ns") > 0);
+    // Every mechanism, plus a faulted UINTR run whose dropped IPIs
+    // degrade workers onto the signal path: the counters must equal the
+    // clocks wherever work, dispatch, preemption and kernel time land.
+    let faults = FaultPlan { ipi_drop: 1.0, signal_lost: 0.05, ..FaultPlan::default() };
+    let faulted = RuntimeConfig { faults, ..traced_cfg(PreemptMech::Uintr) };
+    let mut runs: Vec<(String, RunReport)> = [
+        PreemptMech::None,
+        PreemptMech::Uintr,
+        PreemptMech::TimerCoreSignal,
+        PreemptMech::KernelTimerSignal,
+    ]
+    .into_iter()
+    .map(|mech| (format!("{mech:?}"), traced_run(mech)))
+    .collect();
+    // Tasks long enough to outlive the watchdog timeout, so lost sends
+    // are retried and escalate.
+    let long_tasks = WorkloadSpec {
+        source: ServiceSource::Phased(PhasedService::constant(ServiceDist::Constant(
+            SimDur::micros(400),
+        ))),
+        arrivals: RateSchedule::Constant(4_000.0),
+        duration: SimDur::millis(20),
+        warmup: SimDur::ZERO,
+    };
+    let policy = Box::new(FcfsPreempt::fixed(SimDur::micros(10)));
+    runs.push(("faulted Uintr".into(), run(faulted, policy, long_tasks)));
+
+    for (name, r) in &runs {
+        let m = &r.metrics;
+        // `cores` aggregates workers + dispatcher; the timer core
+        // carries the SENDUIPI issue and signal-send time.
+        for (class, counter) in [
+            (TimeClass::Work, "core_work_ns"),
+            (TimeClass::Preemption, "core_preemption_ns"),
+            (TimeClass::Dispatch, "core_dispatch_ns"),
+            (TimeClass::Kernel, "core_kernel_ns"),
+        ] {
+            let clocks = r.cores.charged(class) + r.timer_core.charged(class);
+            assert_eq!(m.counter(counter), clocks.as_nanos(), "{name}: {counter}");
+        }
+        // The timer core's idle-fill poll time is synthesized after the
+        // run, not charged by the model, so the counter stays zero.
+        assert_eq!(m.counter("core_timer_poll_ns"), 0, "{name}");
+        assert!(m.counter("core_work_ns") > 0, "{name}");
+    }
+    let counter = |i: usize, c: &str| runs[i].1.metrics.counter(c);
+    // Each path that charges preemption or kernel time was exercised.
+    assert!(counter(1, "core_preemption_ns") > 0);
+    assert!(counter(2, "core_preemption_ns") > 0);
+    assert!(counter(3, "core_kernel_ns") > 0);
+    assert!(counter(4, "mech_degradations") > 0, "faults must push UINTR onto signals");
+    assert!(counter(4, "signals_sent") > 0);
 }
 
 #[test]
