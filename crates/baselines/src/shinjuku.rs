@@ -8,29 +8,26 @@
 //! ring-3-mapped APIC. Preempted requests return to the tail of the
 //! central queue (cFCFS).
 //!
-//! The relevant mechanism differences from LibPreemptible, all modeled
-//! explicitly:
+//! Mechanically this is LibPreemptible's runtime with
+//! [`PreemptMech::PostedIpi`] and [`DispatchMode::Central`]: the same
+//! scheduling machinery, with the mechanism differences the paper
+//! measures carried by the configuration:
 //!
 //! * preemption delivery is an ordinary IPI (µs-scale, kernel-trampoline
 //!   receiver cost) instead of a user interrupt;
-//! * every scheduling decision crosses dispatcher↔worker cachelines and
-//!   is only noticed at the dispatcher's loop granularity;
+//! * every scheduling decision is a dispatcher hand-off, noticed at the
+//!   dispatcher's loop granularity and serialized on its core;
 //! * the quantum is static — Shinjuku "needs careful profiling to
 //!   select the right time quanta" (§V-A), which experiments mirror by
 //!   sweeping.
 
-use std::collections::VecDeque;
+use std::fmt::Write;
 
-use lp_hw::{CoreClock, HwCosts, TimeClass};
-use lp_sim::obs::{Event, Observer};
-use lp_sim::rng::{rng, streams};
-use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
-use lp_stats::{Histogram, TimeSeries, WindowStats};
-use lp_workload::ArrivalGen;
-use rand::rngs::SmallRng;
+use lp_sim::SimDur;
 
+use libpreemptible::policies::FcfsPreempt;
 use libpreemptible::report::RunReport;
-use libpreemptible::runtime::{ServiceSource, WorkloadSpec};
+use libpreemptible::runtime::{run, DispatchMode, PreemptMech, RuntimeConfig, WorkloadSpec};
 
 /// Shinjuku configuration.
 #[derive(Debug, Clone)]
@@ -41,32 +38,11 @@ pub struct ShinjukuConfig {
     /// The static preemption quantum; [`SimDur::MAX`] disables
     /// preemption.
     pub quantum: SimDur,
-    /// Hardware cost model.
-    pub hw: HwCosts,
-    /// Dispatcher loop iteration time (how often it checks quanta and
-    /// idle workers).
-    pub loop_granularity: SimDur,
-    /// Dispatcher cost to hand one request to a worker.
-    pub dispatch_cost: SimDur,
-    /// Receiver-side cost of taking a posted IPI and trampolining back
-    /// to the dispatcher-provided context (Shinjuku's interposition
-    /// layer).
-    pub preempt_receiver_cost: SimDur,
     /// Master seed.
     pub seed: u64,
-    /// Bound on queued requests (beyond it arrivals drop, modeling
-    /// finite rings).
-    pub queue_capacity: usize,
-    /// Record time series at this frame width.
-    pub series_frame: Option<SimDur>,
     /// Keep the last N typed trace events (0 disables the ring; see
-    /// `docs/TRACING.md`). The baseline emits the same lifecycle
-    /// vocabulary as the runtime so traces and attribution compare
-    /// apples to apples.
+    /// `docs/TRACING.md`).
     pub trace_capacity: usize,
-    /// Tail attribution (see [`RunReport::phases`]); always-on, the
-    /// off switch exists only for overhead measurement.
-    pub attribution: bool,
 }
 
 impl Default for ShinjukuConfig {
@@ -74,387 +50,8 @@ impl Default for ShinjukuConfig {
         ShinjukuConfig {
             workers: 5,
             quantum: SimDur::micros(5),
-            hw: HwCosts::default(),
-            loop_granularity: SimDur::nanos(120),
-            dispatch_cost: SimDur::nanos(220),
-            // The Shinjuku paper reports ~2 us end-to-end per preemption
-            // (interrupt entry + interposition trampoline).
-            preempt_receiver_cost: SimDur::nanos(1_800),
             seed: 1,
-            queue_capacity: 65_536,
-            series_frame: None,
             trace_capacity: 0,
-            attribution: true,
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Ev {
-    Arrival,
-    /// Dispatcher assigns queued work to an idle worker.
-    Assign,
-    Finish { worker: usize, seq: u64 },
-    /// Dispatcher's loop notices worker `w` exceeded its quantum.
-    QuantumCheck { worker: usize, seq: u64 },
-    /// The IPI lands on the worker.
-    PreemptArrive { worker: usize, seq: u64 },
-    /// The worker finished the preemption trampoline and is idle again.
-    PreemptDone { worker: usize },
-}
-
-struct Task {
-    arrived: SimTime,
-    remaining: SimDur,
-    class: u8,
-    /// Stable per-request id for the trace/attribution vocabulary
-    /// (the runtime uses context-pool indices; here requests never
-    /// share storage, so the arrival ordinal serves).
-    fiber: u32,
-    /// `true` once the task has been preempted at least once — the
-    /// next `task_start` is a resume.
-    preempted: bool,
-}
-
-enum WState {
-    Idle,
-    /// Taking a preemption interrupt: the trampoline occupies the core.
-    Switching,
-    Running {
-        task: Task,
-        started: SimTime,
-        finish_ev: EventId,
-        check_ev: EventId,
-    },
-}
-
-struct Worker {
-    state: WState,
-    seq: u64,
-    clock: CoreClock,
-}
-
-struct ShinjukuSystem {
-    cfg: ShinjukuConfig,
-    spec: WorkloadSpec,
-    queue: VecDeque<Task>,
-    workers: Vec<Worker>,
-    dispatcher: CoreClock,
-    dispatcher_free_at: SimTime,
-    arrivals_gen: ArrivalGen,
-    service_rng: SmallRng,
-    hw_rng: SmallRng,
-    assign_pending: bool,
-
-    /// Same cross-layer event/metrics/attribution hub as the runtime.
-    obs: Observer,
-
-    arrivals: u64,
-    completions: u64,
-    dropped: u64,
-    preemptions: u64,
-    spurious: u64,
-    window: WindowStats,
-    latency: Histogram,
-    latency_by_class: Vec<Histogram>,
-    latency_series: Vec<TimeSeries>,
-}
-
-impl ShinjukuSystem {
-    fn new(cfg: ShinjukuConfig, spec: WorkloadSpec) -> Self {
-        let workers = (0..cfg.workers)
-            .map(|_| Worker {
-                state: WState::Idle,
-                seq: 0,
-                clock: CoreClock::new(),
-            })
-            .collect();
-        let mut obs = Observer::new(cfg.trace_capacity);
-        obs.set_attribution_enabled(cfg.attribution);
-        ShinjukuSystem {
-            obs,
-            arrivals_gen: ArrivalGen::new(spec.arrivals.clone(), rng(cfg.seed, streams::ARRIVALS)),
-            service_rng: rng(cfg.seed, streams::SERVICE),
-            hw_rng: rng(cfg.seed, streams::HW_JITTER),
-            queue: VecDeque::new(),
-            workers,
-            dispatcher: CoreClock::new(),
-            dispatcher_free_at: SimTime::ZERO,
-            assign_pending: false,
-            arrivals: 0,
-            completions: 0,
-            dropped: 0,
-            preemptions: 0,
-            spurious: 0,
-            window: WindowStats::new(),
-            latency: Histogram::new(),
-            latency_by_class: (0..2).map(|_| Histogram::new()).collect(),
-            latency_series: match cfg.series_frame {
-                Some(f) => (0..2).map(|_| TimeSeries::new(f.as_nanos())).collect(),
-                None => vec![],
-            },
-            cfg,
-            spec,
-        }
-    }
-
-    fn jitter(&mut self, base: SimDur) -> SimDur {
-        lp_hw::jitter::sample(&mut self.hw_rng, base, self.cfg.hw.jitter_sigma)
-    }
-
-    /// Schedules an Assign if work and an idle worker exist and none is
-    /// already pending.
-    fn kick_dispatcher(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if self.assign_pending || self.queue.is_empty() {
-            return;
-        }
-        if self.workers.iter().any(|w| matches!(w.state, WState::Idle)) {
-            self.assign_pending = true;
-            // The dispatcher notices at its loop granularity and
-            // serializes on its own core.
-            let notice = ctx.now() + self.jitter(self.cfg.loop_granularity);
-            let start = self.dispatcher_free_at.max(notice);
-            self.dispatcher_free_at = start + self.cfg.dispatch_cost;
-            self.dispatcher
-                .charge(TimeClass::Dispatch, self.cfg.dispatch_cost);
-            ctx.at(self.dispatcher_free_at, Ev::Assign);
-        }
-    }
-
-    fn record_completion(&mut self, arrived: SimTime, class: u8, now: SimTime) {
-        self.completions += 1;
-        self.window.on_completion(now.since(arrived).as_nanos());
-        if arrived < SimTime::ZERO + self.spec.warmup {
-            return;
-        }
-        let lat = now.since(arrived);
-        self.latency.record(lat.as_nanos());
-        if let Some(h) = self.latency_by_class.get_mut(class as usize) {
-            h.record(lat.as_nanos());
-        }
-        if let Some(ts) = self.latency_series.get_mut(class as usize) {
-            ts.record(now.as_nanos(), lat.as_micros_f64());
-        }
-    }
-
-    fn start_on(&mut self, worker: usize, task: Task, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        // Handoff: worker observes the assignment (cacheline transfer)
-        // and switches onto the request context.
-        let start = now + self.cfg.hw.fcontext_switch;
-        self.obs.emit(
-            now,
-            Event::SwitchBegin {
-                worker: worker as u16,
-                fiber: task.fiber,
-                resumed: task.preempted,
-            },
-        );
-        self.obs.emit(
-            start,
-            Event::TaskStart {
-                worker: worker as u16,
-                fiber: task.fiber,
-                resumed: task.preempted,
-                switch_ns: start.since(now).as_nanos().min(u64::from(u32::MAX)) as u32,
-            },
-        );
-        self.workers[worker].seq += 1;
-        let seq = self.workers[worker].seq;
-        let finish_ev = ctx.at(start + task.remaining, Ev::Finish { worker, seq });
-        // The dispatcher will notice quantum expiry at loop granularity.
-        let check_ev = if self.cfg.quantum != SimDur::MAX {
-            let poll = self.cfg.loop_granularity.as_nanos().max(1);
-            let expiry = (start + self.cfg.quantum).as_nanos().div_ceil(poll) * poll;
-            ctx.at(
-                SimTime::from_nanos(expiry),
-                Ev::QuantumCheck { worker, seq },
-            )
-        } else {
-            // Dummy id: schedule nothing by reusing finish (never
-            // cancelled separately). Use a no-op far-future event.
-            finish_ev
-        };
-        self.workers[worker]
-            .clock
-            .charge(TimeClass::Dispatch, self.cfg.hw.fcontext_switch);
-        self.workers[worker].state = WState::Running {
-            task,
-            started: start,
-            finish_ev,
-            check_ev,
-        };
-    }
-}
-
-impl Model for ShinjukuSystem {
-    type Event = Ev;
-
-    fn handle(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Ev::Arrival => {
-                let now = ctx.now();
-                self.arrivals += 1;
-                self.window.on_arrival();
-                let (class, service) = match &self.spec.source {
-                    ServiceSource::Phased(p) => (0u8, p.sample(now, &mut self.service_rng)),
-                    ServiceSource::Colocated(c) => {
-                        let (cl, s) = c.sample(&mut self.service_rng);
-                        (
-                            match cl {
-                                lp_workload::JobClass::LatencyCritical => 0,
-                                lp_workload::JobClass::BestEffort => 1,
-                            },
-                            s,
-                        )
-                    }
-                };
-                self.obs.emit(now, Event::Arrival { class });
-                if self.queue.len() >= self.cfg.queue_capacity {
-                    self.dropped += 1;
-                    self.obs.emit(now, Event::Drop { class });
-                } else {
-                    self.queue.push_back(Task {
-                        arrived: now,
-                        remaining: service,
-                        class,
-                        fiber: (self.arrivals - 1).min(u64::from(u32::MAX)) as u32,
-                        preempted: false,
-                    });
-                    self.kick_dispatcher(ctx);
-                }
-                let next = self.arrivals_gen.next_arrival(now);
-                if next < SimTime::ZERO + self.spec.duration {
-                    ctx.at(next, Ev::Arrival);
-                }
-            }
-            Ev::Assign => {
-                self.assign_pending = false;
-                let Some(task) = self.queue.pop_front() else {
-                    return;
-                };
-                let idle = self
-                    .workers
-                    .iter()
-                    .position(|w| matches!(w.state, WState::Idle));
-                match idle {
-                    Some(w) => {
-                        self.start_on(w, task, ctx);
-                        self.kick_dispatcher(ctx);
-                    }
-                    None => {
-                        // Assignment raced: requeue at the head.
-                        self.queue.push_front(task);
-                    }
-                }
-            }
-            Ev::Finish { worker, seq } => {
-                if self.workers[worker].seq != seq {
-                    return;
-                }
-                let state = std::mem::replace(&mut self.workers[worker].state, WState::Idle);
-                let WState::Running {
-                    task,
-                    started,
-                    check_ev,
-                    ..
-                } = state
-                else {
-                    return;
-                };
-                let now = ctx.now();
-                ctx.cancel(check_ev);
-                self.workers[worker]
-                    .clock
-                    .charge(TimeClass::Work, now.saturating_since(started));
-                self.workers[worker].seq += 1;
-                self.obs.emit(
-                    now,
-                    Event::TaskFinish {
-                        worker: worker as u16,
-                        fiber: task.fiber,
-                        latency_ns: now.since(task.arrived).as_nanos(),
-                    },
-                );
-                self.record_completion(task.arrived, task.class, now);
-                self.kick_dispatcher(ctx);
-            }
-            Ev::QuantumCheck { worker, seq } => {
-                if self.workers[worker].seq != seq {
-                    return;
-                }
-                // The dispatcher observed an overrun: send the posted
-                // IPI from the dispatcher core.
-                let icr = self.jitter(self.cfg.hw.apic_icr_write);
-                self.dispatcher.charge(TimeClass::Preemption, icr);
-                let delivery = self.jitter(self.cfg.hw.ipi_delivery);
-                ctx.at(ctx.now() + icr + delivery, Ev::PreemptArrive { worker, seq });
-            }
-            Ev::PreemptArrive { worker, seq } => {
-                let now = ctx.now();
-                let recv = self.cfg.preempt_receiver_cost + self.cfg.hw.fcontext_switch;
-                if self.workers[worker].seq != seq {
-                    self.spurious += 1;
-                    self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
-                    self.workers[worker].clock.charge(TimeClass::Preemption, recv);
-                    return;
-                }
-                let state =
-                    std::mem::replace(&mut self.workers[worker].state, WState::Switching);
-                let WState::Running {
-                    mut task,
-                    started,
-                    finish_ev,
-                    ..
-                } = state
-                else {
-                    self.workers[worker].state = state;
-                    return;
-                };
-                ctx.cancel(finish_ev);
-                let executed = now.saturating_since(started);
-                let w = &mut self.workers[worker];
-                w.clock.charge(TimeClass::Work, executed);
-                w.clock.charge(TimeClass::Preemption, recv);
-                w.seq += 1;
-                task.remaining = task.remaining.saturating_sub(executed);
-                if task.remaining.is_zero() {
-                    // The IPI raced completion: treat as completed.
-                    self.obs.emit(
-                        now,
-                        Event::TaskFinish {
-                            worker: worker as u16,
-                            fiber: task.fiber,
-                            latency_ns: now.since(task.arrived).as_nanos(),
-                        },
-                    );
-                    self.record_completion(task.arrived, task.class, now);
-                } else {
-                    task.remaining += self.cfg.hw.switch_pollution;
-                    self.preemptions += 1;
-                    self.obs.emit(
-                        now,
-                        Event::Preempt {
-                            worker: worker as u16,
-                            fiber: task.fiber,
-                            ran_ns: executed.as_nanos(),
-                        },
-                    );
-                    task.preempted = true;
-                    // cFCFS: preempted work re-enters at the tail.
-                    self.queue.push_back(task);
-                }
-                // The trampoline occupies this core for `recv`; other
-                // idle workers may pick the requeued task meanwhile.
-                ctx.at(now + recv, Ev::PreemptDone { worker });
-                self.kick_dispatcher(ctx);
-            }
-            Ev::PreemptDone { worker } => {
-                if matches!(self.workers[worker].state, WState::Switching) {
-                    self.workers[worker].state = WState::Idle;
-                    self.kick_dispatcher(ctx);
-                }
-            }
         }
     }
 }
@@ -479,75 +76,36 @@ impl Model for ShinjukuSystem {
 /// assert!(report.is_conserved());
 /// ```
 pub fn run_shinjuku(cfg: ShinjukuConfig, spec: WorkloadSpec) -> RunReport {
-    let name = if cfg.quantum == SimDur::MAX {
-        "Shinjuku (no preemption)".to_string()
-    } else {
-        format!("Shinjuku (q={})", cfg.quantum)
+    let rt = RuntimeConfig {
+        workers: cfg.workers,
+        mech: PreemptMech::PostedIpi,
+        dispatch: DispatchMode::Central,
+        // One dispatcher-to-worker hand-off (cacheline transfer).
+        dispatch_cost: SimDur::nanos(220),
+        // The dispatcher picks; the worker makes no decision.
+        pick_cost: SimDur::ZERO,
+        // Finite rings: beyond this many requests in flight, arrivals
+        // drop.
+        pool_capacity: 65_536,
+        seed: cfg.seed,
+        trace_capacity: cfg.trace_capacity,
+        ..RuntimeConfig::default()
     };
-    let duration = spec.duration;
-    let offered = spec.arrivals.peak_rate();
-    // Arrival-rate hint: ~100 us of peak arrivals in flight plus
-    // per-worker bookkeeping events (see lp_sim::EventQueue docs).
-    let queue_hint = 64 + (offered * 1e-4) as usize;
-    let model = ShinjukuSystem::new(cfg, spec);
-    let mut sim = Simulation::with_capacity(model, queue_hint);
-    sim.schedule_at(SimTime::ZERO, Ev::Arrival);
-    sim.run_until(SimTime::ZERO + duration);
-    let mut m = sim.into_model();
-    let per_worker: Vec<CoreClock> = m.workers.iter().map(|w| w.clock.clone()).collect();
-    let mut cores = CoreClock::new();
-    for w in &per_worker {
-        cores.merge(w);
+    let mut report = run(rt, Box::new(FcfsPreempt::fixed(cfg.quantum)), spec);
+    // Relabel in place: the runtime's name buffer is long enough.
+    report.system.clear();
+    if cfg.quantum == SimDur::MAX {
+        report.system.push_str("Shinjuku (no preemption)");
+    } else {
+        let _ = write!(report.system, "Shinjuku (q={})", cfg.quantum);
     }
-    cores.merge(&m.dispatcher);
-    let in_flight = m.queue.len() as u64
-        + m.workers
-            .iter()
-            .filter(|w| matches!(w.state, WState::Running { .. }))
-            .count() as u64;
-    let end = SimTime::ZERO + duration;
-    let oldest_inflight_ns = m
-        .queue
-        .iter()
-        .map(|t| t.arrived)
-        .chain(m.workers.iter().filter_map(|w| match &w.state {
-            WState::Running { task, .. } => Some(task.arrived),
-            _ => None,
-        }))
-        .map(|t| end.saturating_since(t).as_nanos())
-        .max()
-        .unwrap_or(0);
-    RunReport {
-        system: name,
-        offered_rps: offered,
-        duration,
-        arrivals: m.arrivals,
-        completions: m.completions,
-        dropped: m.dropped,
-        in_flight,
-        oldest_inflight_ns,
-        latency: m.latency,
-        latency_by_class: m.latency_by_class,
-        preemptions: m.preemptions,
-        spurious_preemptions: m.spurious,
-        cores,
-        per_worker,
-        timer_core: m.dispatcher,
-        latency_series: m.latency_series,
-        qps_series: None,
-        quantum_series: None,
-        slo_series: None,
-        final_quantum: SimDur::ZERO,
-        metrics: m.obs.snapshot(),
-        events_dropped: m.obs.ring().overwritten(),
-        events: m.obs.take_events(),
-        phases: m.obs.take_phases(),
-    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use libpreemptible::runtime::ServiceSource;
     use lp_workload::{PhasedService, RateSchedule, ServiceDist};
 
     fn spec(rate: f64, ms: u64, dist: ServiceDist) -> WorkloadSpec {

@@ -41,6 +41,11 @@ pub struct HwCosts {
     /// Sender-side cost of writing the APIC ICR to send an IPI (the
     /// mechanism Shinjuku maps into ring 3).
     pub apic_icr_write: SimDur,
+    /// Receiver-side cost of taking a posted IPI in Shinjuku's
+    /// interposition layer: interrupt entry plus the trampoline back to
+    /// the dispatcher-provided context. Shinjuku reports about 2 us
+    /// end to end per preemption, fcontext switch included.
+    pub ipi_trampoline: SimDur,
     /// Writing a deadline slot (`utimer_arm_deadline`): one cache-line
     /// store that intermittently bounces with the timer core's
     /// polling reads.
@@ -78,6 +83,7 @@ impl HwCosts {
             uintr_handler: SimDur::nanos(120),
             ipi_delivery: SimDur::nanos(1_800),
             apic_icr_write: SimDur::nanos(110),
+            ipi_trampoline: SimDur::nanos(1_800),
             deadline_arm: SimDur::nanos(30),
             fcontext_switch: SimDur::nanos(40),
             kernel_ctx_switch: SimDur::nanos(1_500),

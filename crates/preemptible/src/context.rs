@@ -84,15 +84,31 @@ enum SlotState {
 /// ```
 #[derive(Debug)]
 pub struct ContextPool {
-    slots: Vec<Context>,
-    states: Vec<SlotState>,
-    free_list: Vec<ContextId>,
+    slots: Vec<Slot>,
+    /// Top of the free list (LIFO), threaded through
+    /// `Slot::next_free`; `NO_SLOT` when empty.
+    free_head: usize,
+    /// Length of the free list.
+    free_count: usize,
     /// Global "running list" of preempted functions, FIFO.
     running_list: std::collections::VecDeque<ContextId>,
     capacity: usize,
     /// High-water mark of simultaneously live contexts.
     peak_live: usize,
 }
+
+/// One pool slot: the context and its lifecycle state.
+#[derive(Debug)]
+struct Slot {
+    ctx: Context,
+    state: SlotState,
+    /// The next free slot below this one on the free list (meaningful
+    /// only while the slot is free).
+    next_free: usize,
+}
+
+/// The free list's end marker.
+const NO_SLOT: usize = usize::MAX;
 
 /// Error returned when the pool is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +125,14 @@ impl ContextPool {
     /// Creates a pool bounded at `capacity` contexts (the application
     /// "can define the size of this pool").
     pub fn with_capacity(capacity: usize) -> Self {
+        // Room for a small in-flight population up front (the slab then
+        // doubles as needed); the bound itself may be far larger than
+        // any run reaches. The running list is sized at the first park
+        // (a run-to-completion pool never needs it).
         ContextPool {
-            slots: Vec::new(),
-            states: Vec::new(),
-            free_list: Vec::new(),
+            slots: Vec::with_capacity(capacity.min(16)),
+            free_head: NO_SLOT,
+            free_count: 0,
             running_list: std::collections::VecDeque::new(),
             capacity,
             peak_live: 0,
@@ -132,33 +152,29 @@ impl ContextPool {
         work: SimDur,
         class: u8,
     ) -> Result<ContextId, PoolExhausted> {
-        let id = if let Some(id) = self.free_list.pop() {
-            debug_assert_eq!(self.states[id.0], SlotState::Free);
-            self.slots[id.0] = Context {
-                request,
-                arrived,
-                remaining: work,
-                total: work,
-                preemptions: 0,
-                class,
-            };
+        let ctx = Context {
+            request,
+            arrived,
+            remaining: work,
+            total: work,
+            preemptions: 0,
+            class,
+        };
+        let slot = Slot { ctx, state: SlotState::Active, next_free: NO_SLOT };
+        let id = if self.free_head != NO_SLOT {
+            let id = ContextId(self.free_head);
+            debug_assert_eq!(self.slots[id.0].state, SlotState::Free);
+            self.free_head = self.slots[id.0].next_free;
+            self.free_count -= 1;
+            self.slots[id.0] = slot;
             id
         } else {
             if self.slots.len() >= self.capacity {
                 return Err(PoolExhausted);
             }
-            self.slots.push(Context {
-                request,
-                arrived,
-                remaining: work,
-                total: work,
-                preemptions: 0,
-                class,
-            });
-            self.states.push(SlotState::Free);
+            self.slots.push(slot);
             ContextId(self.slots.len() - 1)
         };
-        self.states[id.0] = SlotState::Active;
         self.peak_live = self.peak_live.max(self.live());
         Ok(id)
     }
@@ -170,12 +186,16 @@ impl ContextPool {
     /// Panics if the context is not active.
     pub fn park(&mut self, id: ContextId) {
         assert_eq!(
-            self.states[id.0],
+            self.slots[id.0].state,
             SlotState::Active,
             "parking a non-active context"
         );
-        self.states[id.0] = SlotState::Parked;
-        self.slots[id.0].preemptions += 1;
+        let slot = &mut self.slots[id.0];
+        slot.state = SlotState::Parked;
+        slot.ctx.preemptions += 1;
+        if self.running_list.capacity() == 0 {
+            self.running_list.reserve(self.slots.capacity());
+        }
         self.running_list.push_back(id);
     }
 
@@ -183,8 +203,8 @@ impl ContextPool {
     /// source).
     pub fn take_parked(&mut self) -> Option<ContextId> {
         let id = self.running_list.pop_front()?;
-        debug_assert_eq!(self.states[id.0], SlotState::Parked);
-        self.states[id.0] = SlotState::Active;
+        debug_assert_eq!(self.slots[id.0].state, SlotState::Parked);
+        self.slots[id.0].state = SlotState::Active;
         Some(id)
     }
 
@@ -193,8 +213,8 @@ impl ContextPool {
     /// policies that order resumes with their own key.
     pub fn take_parked_at(&mut self, pos: usize) -> Option<ContextId> {
         let id = self.running_list.remove(pos)?;
-        debug_assert_eq!(self.states[id.0], SlotState::Parked);
-        self.states[id.0] = SlotState::Active;
+        debug_assert_eq!(self.slots[id.0].state, SlotState::Parked);
+        self.slots[id.0].state = SlotState::Active;
         Some(id)
     }
 
@@ -207,12 +227,15 @@ impl ContextPool {
     /// of a parked context without resuming it first).
     pub fn release(&mut self, id: ContextId) {
         assert_eq!(
-            self.states[id.0],
+            self.slots[id.0].state,
             SlotState::Active,
             "releasing a non-active context"
         );
-        self.states[id.0] = SlotState::Free;
-        self.free_list.push(id);
+        let slot = &mut self.slots[id.0];
+        slot.state = SlotState::Free;
+        slot.next_free = self.free_head;
+        self.free_head = id.0;
+        self.free_count += 1;
     }
 
     /// Shared access to a context's state.
@@ -221,8 +244,9 @@ impl ContextPool {
     ///
     /// Panics if the slot is free.
     pub fn get(&self, id: ContextId) -> &Context {
-        assert_ne!(self.states[id.0], SlotState::Free, "access to freed context");
-        &self.slots[id.0]
+        let slot = &self.slots[id.0];
+        assert_ne!(slot.state, SlotState::Free, "access to freed context");
+        &slot.ctx
     }
 
     /// Exclusive access to a context's state.
@@ -231,8 +255,9 @@ impl ContextPool {
     ///
     /// Panics if the slot is free.
     pub fn get_mut(&mut self, id: ContextId) -> &mut Context {
-        assert_ne!(self.states[id.0], SlotState::Free, "access to freed context");
-        &mut self.slots[id.0]
+        let slot = &mut self.slots[id.0];
+        assert_ne!(slot.state, SlotState::Free, "access to freed context");
+        &mut slot.ctx
     }
 
     /// Number of contexts on the free list plus never-allocated
@@ -243,7 +268,7 @@ impl ContextPool {
 
     /// Currently live (active + parked) contexts.
     pub fn live(&self) -> usize {
-        self.slots.len() - self.free_list.len()
+        self.slots.len() - self.free_count
     }
 
     /// Contexts parked on the running list.
@@ -263,7 +288,7 @@ impl ContextPool {
 
     /// Iterates over parked contexts (oldest first) without removing.
     pub fn iter_parked(&self) -> impl Iterator<Item = (ContextId, &Context)> + '_ {
-        self.running_list.iter().map(move |&id| (id, &self.slots[id.0]))
+        self.running_list.iter().map(move |&id| (id, &self.slots[id.0].ctx))
     }
 
     /// Earliest arrival time among live (active or parked) contexts,
@@ -274,9 +299,8 @@ impl ContextPool {
     pub fn oldest_live_arrival(&self) -> Option<SimTime> {
         self.slots
             .iter()
-            .zip(&self.states)
-            .filter(|(_, s)| **s != SlotState::Free)
-            .map(|(c, _)| c.arrived)
+            .filter(|s| s.state != SlotState::Free)
+            .map(|s| s.ctx.arrived)
             .min()
     }
 }

@@ -58,4 +58,6 @@ pub use policies::{
 pub use sched::{Dispatch, Enqueue, ResumeSel, SchedCtx, SchedPolicy, TaskView};
 pub use report::RunReport;
 pub use retry::{Backoff, RetryInput, RetryMachine, RetryOutput, WatchdogConfig};
-pub use runtime::{run, LibPreemptibleSystem, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+pub use runtime::{
+    run, DispatchMode, LibPreemptibleSystem, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+};

@@ -16,10 +16,13 @@
 //! * every control period the window statistics roll up and the policy
 //!   (possibly Algorithm 1's controller) adjusts the quantum.
 //!
-//! The same runtime runs all four preemption mechanisms of the paper's
+//! The same runtime runs every preemption mechanism of the paper's
 //! comparison via [`PreemptMech`]: UINTR, the w/o-UINTR fallback
-//! (Fig. 8's orange line), Libinger-style per-thread kernel timers, and
-//! no preemption at all.
+//! (Fig. 8's orange line), Libinger-style per-thread kernel timers,
+//! Shinjuku's posted IPIs, and no preemption at all. [`DispatchMode`]
+//! selects between LibPreemptible's per-worker queues and Shinjuku's
+//! central cFCFS queue, so the Shinjuku baseline is this runtime with
+//! `PostedIpi` and `Central` (see `lp_baselines::shinjuku`).
 
 use std::collections::VecDeque;
 
@@ -27,7 +30,7 @@ use lp_hw::cpu::HogWindow;
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_hw::{CoreClock, HwCosts, TimeClass};
 use lp_kernel::{KernelCosts, KernelTimer, SignalPath};
-use lp_sim::fault::{CoreFault, FaultInjector, FaultPlan, IpiFault, TimerFault};
+use lp_sim::fault::{CoreFault, FaultInjector, FaultKind, FaultPlan, IpiFault, TimerFault};
 use lp_sim::obs::{Counter, Event, Observer};
 use lp_sim::rng::{rng, streams};
 use lp_sim::{Ctx, EventId, Model, SimDur, SimTime, Simulation};
@@ -52,15 +55,56 @@ pub enum PreemptMech {
     /// Per-thread kernel timers + signals (the Libinger/libturquoise
     /// lineage): no timer core, but the kernel timer floor applies.
     KernelTimerSignal,
+    /// Shinjuku's posted IPIs: the dispatcher core (the timer core here)
+    /// notices an expired slice in its poll loop and writes the APIC
+    /// ICR; the receiver takes an ordinary interrupt and trampolines
+    /// back through the interposition layer
+    /// ([`HwCosts::ipi_trampoline`]). Fault injection does not target
+    /// this path.
+    PostedIpi,
     /// No preemption (run to completion).
     None,
 }
 
 impl PreemptMech {
+    /// The variant's name, as report labels print it.
+    fn name(self) -> &'static str {
+        match self {
+            PreemptMech::Uintr => "Uintr",
+            PreemptMech::TimerCoreSignal => "TimerCoreSignal",
+            PreemptMech::KernelTimerSignal => "KernelTimerSignal",
+            PreemptMech::PostedIpi => "PostedIpi",
+            PreemptMech::None => "None",
+        }
+    }
+
     /// `true` if a dedicated timer core is required.
     pub fn needs_timer_core(self) -> bool {
-        matches!(self, PreemptMech::Uintr | PreemptMech::TimerCoreSignal)
+        matches!(
+            self,
+            PreemptMech::Uintr | PreemptMech::TimerCoreSignal | PreemptMech::PostedIpi
+        )
     }
+}
+
+/// How the dispatcher hands requests to workers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum DispatchMode {
+    /// LibPreemptible (§III-F): each request is routed to a per-worker
+    /// local FIFO (the policy's `select_cpu`, else join-shortest-queue),
+    /// the policy's `dispatch` picks between new and parked work, and
+    /// idle workers may steal.
+    #[default]
+    PerWorker,
+    /// Shinjuku's centralized FCFS (cFCFS): new requests and preempted
+    /// contexts wait in one dispatcher-owned FIFO, preempted work
+    /// re-entering at the tail. The dispatcher notices an idle worker at
+    /// poll-loop granularity and hands it the head, one hand-off at a
+    /// time at [`RuntimeConfig::dispatch_cost`] each; arrivals cost the
+    /// dispatcher nothing. The policy grants time slices and observes
+    /// finishes and preemptions; its placement and pick hooks are not
+    /// consulted.
+    Central,
 }
 
 /// Where request classes and service times come from.
@@ -160,12 +204,16 @@ pub struct RuntimeConfig {
     pub kernel: KernelCosts,
     /// Context-pool capacity (requests beyond it are dropped).
     pub pool_capacity: usize,
-    /// Dispatcher per-request processing cost.
+    /// Dispatcher per-request processing cost (per hand-off under
+    /// [`DispatchMode::Central`]).
     pub dispatch_cost: SimDur,
     /// Worker-side scheduling-decision cost per pick.
     pub pick_cost: SimDur,
     /// Allow idle workers to steal from the longest sibling queue.
     pub work_stealing: bool,
+    /// Per-worker queues (LibPreemptible) or one central queue
+    /// (Shinjuku).
+    pub dispatch: DispatchMode,
     /// Master seed; every stochastic component derives a substream.
     pub seed: u64,
     /// Window roll / controller invocation period.
@@ -211,6 +259,7 @@ impl Default for RuntimeConfig {
             dispatch_cost: SimDur::nanos(180),
             pick_cost: SimDur::nanos(60),
             work_stealing: true,
+            dispatch: DispatchMode::PerWorker,
             seed: 1,
             control_period: SimDur::millis(100),
             series_frame: None,
@@ -231,8 +280,12 @@ impl Default for RuntimeConfig {
 pub enum Ev {
     /// Next request hits the network thread.
     Arrival,
-    /// Dispatcher finished routing the head-of-line request.
+    /// Per-worker dispatch: the dispatcher finished routing the
+    /// head-of-line request.
     Dispatched,
+    /// Central dispatch: the dispatcher finished handing the head of
+    /// the central queue to an idle worker.
+    Handoff,
     /// Worker `w` looks for its next task.
     Pick { worker: usize },
     /// The task started under `seq` on worker `w` runs to completion.
@@ -259,9 +312,11 @@ pub enum Ev {
 #[derive(Debug)]
 enum WState {
     Idle,
+    /// Central dispatch only: the worker is taking a preemption and
+    /// becomes idle at its next `Pick`.
+    Switching,
     Running {
         ctx: ContextId,
-        class: u8,
         started: SimTime,
         finish_ev: EventId,
     },
@@ -286,13 +341,11 @@ struct WdArm {
     attempt: u32,
 }
 
-/// Per-worker record, 64-byte aligned so adjacent workers in the
-/// `Vec<Worker>` never share a cache line (mirroring the per-worker
-/// deadline-cacheline layout of §IV-A). Fields are ordered hot-first:
-/// every dispatched event touches `state`/`seq`/`local`, while the
-/// fault-injection machinery at the bottom is only read when faults
-/// are enabled.
-#[repr(align(64))]
+/// Per-worker record. Fields are ordered hot-first: every dispatched
+/// event touches `state`/`seq`/`local`, while the fault-injection
+/// machinery at the bottom is only read when faults are enabled. (The
+/// simulation is single-threaded, so workers cannot false-share; the
+/// per-worker deadline cachelines of §IV-A live in `UtimerRegistry`.)
 struct Worker {
     // --- hot: touched by every Finish/Preempt/dispatch event ---
     state: WState,
@@ -300,11 +353,18 @@ struct Worker {
     /// by comparing against this.
     seq: u64,
     local: VecDeque<ContextId>,
+    /// This worker's timer-core deadline slot (slot index = worker
+    /// index).
     slot: SlotId,
+    /// Run sequence the armed timer-core deadline belongs to.
+    armed_seq: Option<u64>,
+    /// This worker's entry in the timer core's UITT (UINTR only).
     uitt_index: usize,
     clock: CoreClock,
     // --- cold: kernel-timer fallback, fault-injection, and health ---
-    ktimer: KernelTimer,
+    /// The per-thread kernel timer (`KernelTimerSignal` only; boxed to
+    /// keep the worker table small for the other mechanisms).
+    ktimer: Option<Box<KernelTimer>>,
     /// Fault-injected stall window; preemption arrivals are deferred
     /// past it. Always closed when injection is disabled.
     hog: HogWindow,
@@ -344,8 +404,6 @@ pub struct LibPreemptibleSystem {
     fired: Vec<SlotId>,
     uintr: UintrDomain,
     timer_uitt: Uitt,
-    /// (worker, seq) the armed deadline of each slot belongs to.
-    armed_for: Vec<Option<(usize, u64)>>,
     timer_check: Option<(SimTime, EventId)>,
     /// Next lost-preemption scan tick, in nanos (`u64::MAX` when
     /// injection is disabled). Checked with one compare at the top of
@@ -373,6 +431,11 @@ pub struct LibPreemptibleSystem {
     dispatch_queue: VecDeque<PendingReq>,
     dispatcher_clock: CoreClock,
     rr_cursor: usize,
+    /// Central dispatch's FIFO of new and preempted contexts (always
+    /// empty under per-worker dispatch).
+    central: VecDeque<ContextId>,
+    /// A hand-off is scheduled on the dispatcher.
+    handoff_pending: bool,
 
     /// Cross-layer typed event trace + metrics registry.
     obs: Observer,
@@ -412,25 +475,32 @@ fn task_view(id: ContextId, c: &Context) -> TaskView {
 impl LibPreemptibleSystem {
     fn new(cfg: RuntimeConfig, spec: WorkloadSpec, policy: Box<dyn SchedPolicy>) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
-        let mut registry = UtimerRegistry::new();
+        let mut registry = UtimerRegistry::with_capacity(cfg.workers);
         let mut uintr = UintrDomain::new();
         let mut timer_uitt = Uitt::new();
         let workers = (0..cfg.workers)
-            .map(|_| {
+            .map(|i| {
                 let slot = registry.register();
-                let upid = uintr.register_receiver();
+                debug_assert_eq!(slot.index(), i);
                 // LibPreemptible's security posture (§VII-B): the only
                 // UITT entries in the system connect the timer core to
                 // the workers, vector 0 = "deadline expired".
-                let uitt_index = timer_uitt.register(upid, 0);
+                let uitt_index = if cfg.mech == PreemptMech::Uintr {
+                    timer_uitt.register(uintr.register_receiver(), 0)
+                } else {
+                    0
+                };
                 Worker {
                     state: WState::Idle,
                     local: VecDeque::new(),
                     slot,
+                    armed_seq: None,
                     uitt_index,
                     clock: CoreClock::new(),
                     seq: 0,
-                    ktimer: KernelTimer::new(cfg.kernel.clone(), rng(cfg.seed, 100 + slot.index() as u64)),
+                    ktimer: (cfg.mech == PreemptMech::KernelTimerSignal).then(|| {
+                        Box::new(KernelTimer::new(cfg.kernel.clone(), rng(cfg.seed, 100 + i as u64)))
+                    }),
                     hog: HogWindow::none(),
                     retry: RetryMachine::new(&cfg.watchdog),
                     wd: None,
@@ -438,7 +508,6 @@ impl LibPreemptibleSystem {
             })
             .collect();
         let series = |frame: Option<SimDur>| frame.map(|f| TimeSeries::new(f.as_nanos()));
-        let armed_for = vec![None; cfg.workers];
         let mut obs = Observer::new(cfg.trace_capacity);
         obs.set_attribution_enabled(cfg.attribution);
         LibPreemptibleSystem {
@@ -451,11 +520,10 @@ impl LibPreemptibleSystem {
                 .enabled()
                 .then(|| FaultInjector::new(cfg.faults.clone(), cfg.seed)),
             pool: ContextPool::with_capacity(cfg.pool_capacity),
-            fired: Vec::with_capacity(cfg.workers),
+            fired: Vec::new(),
             registry,
             uintr,
             timer_uitt,
-            armed_for,
             timer_check: None,
             wd_scan_at: if cfg.faults.enabled() { 0 } else { u64::MAX },
             wd_scan_period: (cfg.watchdog.timeout.as_nanos() / 2).max(1),
@@ -464,6 +532,13 @@ impl LibPreemptibleSystem {
             dispatch_queue: VecDeque::new(),
             dispatcher_clock: CoreClock::new(),
             rr_cursor: 0,
+            // Room for a typical backlog; per-worker dispatch never
+            // touches it.
+            central: match cfg.dispatch {
+                DispatchMode::PerWorker => VecDeque::new(),
+                DispatchMode::Central => VecDeque::with_capacity(cfg.pool_capacity.min(128)),
+            },
+            handoff_pending: false,
             obs,
             arrivals: 0,
             completions: 0,
@@ -479,7 +554,7 @@ impl LibPreemptibleSystem {
             qps_series: series(cfg.series_frame),
             quantum_series: series(cfg.series_frame.or(Some(cfg.control_period))),
             slo_series: cfg.slo.and(series(cfg.series_frame)),
-            depth_scratch: Vec::with_capacity(cfg.workers),
+            depth_scratch: Vec::new(),
             last_window: None,
             workers,
             cfg,
@@ -567,14 +642,20 @@ impl LibPreemptibleSystem {
         }
         let seq = self.workers[worker].seq;
         match self.cfg.mech {
-            PreemptMech::Uintr | PreemptMech::TimerCoreSignal => {
+            PreemptMech::Uintr | PreemptMech::TimerCoreSignal | PreemptMech::PostedIpi => {
                 let slot = self.workers[worker].slot;
                 self.registry.arm(slot, start + q, start, &mut self.obs);
-                self.armed_for[slot.index()] = Some((worker, seq));
+                self.workers[worker].armed_seq = Some(seq);
                 self.update_timer_check(ctx);
-                // utimer_arm_deadline is one cache-line write (which
-                // can bounce with the timer core's polling reads).
-                self.cfg.hw.deadline_arm
+                if self.cfg.mech == PreemptMech::PostedIpi {
+                    // Shinjuku's dispatcher times the slice from its
+                    // own hand-off: the worker writes nothing.
+                    SimDur::ZERO
+                } else {
+                    // utimer_arm_deadline is one cache-line write (which
+                    // can bounce with the timer core's polling reads).
+                    self.cfg.hw.deadline_arm
+                }
             }
             PreemptMech::KernelTimerSignal => {
                 let fault = self
@@ -582,17 +663,14 @@ impl LibPreemptibleSystem {
                     .as_mut()
                     .and_then(|i| i.timer_at(start.as_nanos()));
                 if let Some(f) = fault {
-                    self.obs.emit(
-                        start,
-                        Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
-                    );
+                    self.note_fault(start, worker, f.kind());
                 }
-                let w = &mut self.workers[worker];
-                w.ktimer.arm(q, worker as u16, start, &mut self.obs);
+                let kt = self.workers[worker].ktimer.as_mut().expect("kernel timer");
+                kt.arm(q, worker as u16, start, &mut self.obs);
                 // The hardware timer fires regardless of whether the
                 // expiry turns out stale: record it at the fire instant.
-                let actual = w.ktimer.sample_expiry(fault, worker as u16, start, &mut self.obs);
-                let cost = w.ktimer.arm_cost();
+                let actual = kt.sample_expiry(fault, worker as u16, start, &mut self.obs);
+                let cost = kt.arm_cost();
                 match actual {
                     Some(delay) => {
                         ctx.at(start + delay, Ev::KtimerExpiry { worker, seq });
@@ -626,14 +704,14 @@ impl LibPreemptibleSystem {
 
     fn disarm_deadline(&mut self, worker: usize, ctx: &mut Ctx<'_, Ev>) {
         match self.cfg.mech {
-            PreemptMech::Uintr | PreemptMech::TimerCoreSignal => {
+            PreemptMech::Uintr | PreemptMech::TimerCoreSignal | PreemptMech::PostedIpi => {
                 let slot = self.workers[worker].slot;
                 self.registry.disarm(slot, ctx.now(), &mut self.obs);
-                self.armed_for[slot.index()] = None;
+                self.workers[worker].armed_seq = None;
                 self.update_timer_check(ctx);
             }
             PreemptMech::KernelTimerSignal => {
-                self.workers[worker].ktimer.disarm();
+                self.workers[worker].ktimer.as_mut().expect("kernel timer").disarm();
                 // The stale KtimerExpiry event is ignored by seq check.
             }
             PreemptMech::None => {}
@@ -647,6 +725,7 @@ impl LibPreemptibleSystem {
             PreemptMech::TimerCoreSignal | PreemptMech::KernelTimerSignal => {
                 self.cfg.kernel.signal_handler + self.cfg.kernel.ctx_switch
             }
+            PreemptMech::PostedIpi => self.cfg.hw.ipi_trampoline,
             PreemptMech::None => SimDur::ZERO,
         }
     }
@@ -673,9 +752,9 @@ impl LibPreemptibleSystem {
 
     fn start_task(&mut self, worker: usize, id: ContextId, resumed: bool, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        let (class, remaining, tv) = {
+        let (remaining, tv) = {
             let c = self.pool.get(id);
-            (c.class, c.remaining, task_view(id, c))
+            (c.remaining, task_view(id, c))
         };
         debug_assert!(!remaining.is_zero(), "starting a completed context");
         let switch = self.cfg.hw.fcontext_switch;
@@ -732,13 +811,7 @@ impl LibPreemptibleSystem {
         {
             // The core stalls mid-slice: the fiber burns `stall` extra
             // on-CPU time and no preemption can land inside the window.
-            self.obs.emit(
-                start,
-                Event::FaultInjected {
-                    worker: worker as u16,
-                    kind: lp_sim::fault::FaultKind::CoreHog as u8,
-                },
-            );
+            self.note_fault(start, worker, FaultKind::CoreHog);
             self.workers[worker].hog.begin(start, stall);
             self.pool.get_mut(id).remaining += stall;
             remaining += stall;
@@ -750,7 +823,6 @@ impl LibPreemptibleSystem {
         });
         self.workers[worker].state = WState::Running {
             ctx: id,
-            class,
             started: start,
             finish_ev,
         };
@@ -766,6 +838,14 @@ impl LibPreemptibleSystem {
     }
 
     fn handle_pick(&mut self, worker: usize, ctx: &mut Ctx<'_, Ev>) {
+        if self.cfg.dispatch == DispatchMode::Central {
+            // The worker only announces itself; the dispatcher picks.
+            if matches!(self.workers[worker].state, WState::Switching) {
+                self.workers[worker].state = WState::Idle;
+            }
+            self.kick_dispatcher(ctx);
+            return;
+        }
         if !matches!(self.workers[worker].state, WState::Idle) {
             return; // stale pick
         }
@@ -842,13 +922,54 @@ impl LibPreemptibleSystem {
         }
     }
 
+    /// Central dispatch: schedules the next hand-off if work waits, a
+    /// worker is idle and none is already scheduled. The dispatcher
+    /// notices at its poll-loop granularity and serializes hand-offs on
+    /// its own core.
+    fn kick_dispatcher(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        if self.handoff_pending
+            || self.central.is_empty()
+            || !self.workers.iter().any(|w| matches!(w.state, WState::Idle))
+        {
+            return;
+        }
+        self.handoff_pending = true;
+        let notice = ctx.now() + self.jitter(self.cfg.hw.poll_loop);
+        let cost = self.cfg.dispatch_cost;
+        self.dispatch_free_at = self.dispatch_free_at.max(notice) + cost;
+        self.dispatcher_clock.charge(TimeClass::Dispatch, cost);
+        ctx.at(self.dispatch_free_at, Ev::Handoff);
+    }
+
+    /// Central dispatch: starts the head of the central queue on the
+    /// lowest-numbered idle worker.
+    fn handle_handoff(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        self.handoff_pending = false;
+        let Some(worker) = self.workers.iter().position(|w| matches!(w.state, WState::Idle)) else {
+            return;
+        };
+        let Some(id) = self.central.pop_front() else {
+            return;
+        };
+        // Preempted contexts enter the central queue and the pool's
+        // parked list in the same order, so the parked head is this one.
+        let resumed = self.pool.get(id).preemptions > 0;
+        if resumed {
+            let parked = self.pool.take_parked();
+            debug_assert_eq!(parked, Some(id));
+        }
+        self.start_task(worker, id, resumed, ctx);
+        self.kick_dispatcher(ctx);
+    }
+
     fn deliver_preemptions(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         let mut fired = std::mem::take(&mut self.fired);
         self.registry.poll(now, &mut fired, &mut self.obs);
         let mut issue_at = now;
         for &slot in &fired {
-            let Some((worker, seq)) = self.armed_for[slot.index()].take() else {
+            let worker = slot.index();
+            let Some(seq) = self.workers[worker].armed_seq.take() else {
                 continue;
             };
             match self.cfg.mech {
@@ -878,6 +999,16 @@ impl LibPreemptibleSystem {
                     self.send_preempt_signal(worker, seq, issue_at, 0, ctx);
                     issue_at += self.cfg.kernel.syscall;
                 }
+                PreemptMech::PostedIpi => {
+                    // Shinjuku's dispatcher writes the ring-3-mapped
+                    // APIC ICR per target, serially.
+                    let icr = self.jitter(self.cfg.hw.apic_icr_write);
+                    issue_at += icr;
+                    self.timer_clock.charge(TimeClass::Preemption, icr);
+                    self.note_issue(issue_at, worker, seq, 0, false);
+                    let delivery = self.jitter(self.cfg.hw.ipi_delivery);
+                    ctx.at(issue_at + delivery, Ev::PreemptArrive { worker, seq, uintr: false });
+                }
                 _ => unreachable!("timer core disabled for {:?}", self.cfg.mech),
             }
         }
@@ -899,21 +1030,10 @@ impl LibPreemptibleSystem {
         repair: bool,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        self.obs.emit(
-            at,
-            Event::PreemptIssued {
-                worker: worker as u16,
-                seq,
-                attempt: attempt.min(u32::from(u8::MAX)) as u8,
-                uintr: true,
-            },
-        );
+        self.note_issue(at, worker, seq, attempt, true);
         let fault = self.injector.as_mut().and_then(|i| i.ipi_at(at.as_nanos()));
         if let Some(f) = fault {
-            self.obs.emit(
-                at,
-                Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
-            );
+            self.note_fault(at, worker, f.kind());
         }
         let entry = self
             .timer_uitt
@@ -953,8 +1073,9 @@ impl LibPreemptibleSystem {
 
     /// Sends one preemption through the kernel signal path at `at`,
     /// applying a freshly sampled fault decision, and arms the watchdog
-    /// when injection is enabled. Used by the `TimerCoreSignal` and
-    /// `KernelTimerSignal` retries, and by degraded-UINTR workers.
+    /// when injection is enabled. Used by the `TimerCoreSignal` timer
+    /// core, per-thread kernel-timer expiries, signal-path retries, and
+    /// degraded-UINTR workers.
     fn send_preempt_signal(
         &mut self,
         worker: usize,
@@ -963,21 +1084,10 @@ impl LibPreemptibleSystem {
         attempt: u32,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        self.obs.emit(
-            at,
-            Event::PreemptIssued {
-                worker: worker as u16,
-                seq,
-                attempt: attempt.min(u32::from(u8::MAX)) as u8,
-                uintr: false,
-            },
-        );
+        self.note_issue(at, worker, seq, attempt, false);
         let fault = self.injector.as_mut().and_then(|i| i.signal_at(at.as_nanos()));
         if let Some(f) = fault {
-            self.obs.emit(
-                at,
-                Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
-            );
+            self.note_fault(at, worker, f.kind());
         }
         if self.cfg.mech == PreemptMech::Uintr {
             // The signal handler of a degraded worker drains whatever
@@ -1082,16 +1192,12 @@ impl LibPreemptibleSystem {
             return;
         }
         let can_degrade = self.cfg.mech == PreemptMech::Uintr;
-        match self.workers[worker].retry.step(RetryInput::Lost { seq, can_degrade }) {
+        let uintr = match self.workers[worker].retry.step(RetryInput::Lost { seq, can_degrade }) {
             RetryOutput::Degrade { losses } => {
-                self.obs.emit(
-                    now,
-                    Event::MechDegraded {
-                        worker: worker as u16,
-                        losses: losses.min(u32::from(u8::MAX)) as u8,
-                    },
-                );
+                let losses = losses.min(u32::from(u8::MAX)) as u8;
+                self.obs.emit(now, Event::MechDegraded { worker: worker as u16, losses });
                 self.send_preempt_signal(worker, seq, now, attempt + 1, ctx);
+                return;
             }
             RetryOutput::Brownout { losses } => {
                 // Intermediate tier: the worker is visibly losing
@@ -1099,47 +1205,30 @@ impl LibPreemptibleSystem {
                 // degrade. Announce the pressure (admission control
                 // keys off it) and re-send over UINTR with SN repair,
                 // exactly like `Retry { uintr: true }`.
-                self.obs.emit(
-                    now,
-                    Event::MechBrownout {
-                        worker: worker as u16,
-                        losses: losses.min(u32::from(u8::MAX)) as u8,
-                    },
-                );
-                let delay = self.cfg.watchdog.backoff.delay(attempt);
-                self.obs.emit(
-                    now,
-                    Event::PreemptRetry {
-                        worker: worker as u16,
-                        seq,
-                        attempt: attempt.min(u32::from(u8::MAX)) as u8,
-                        delay_ns: delay.as_nanos(),
-                    },
-                );
-                self.send_preempt_uipi(worker, seq, now + delay, attempt + 1, true, ctx);
+                let losses = losses.min(u32::from(u8::MAX)) as u8;
+                self.obs.emit(now, Event::MechBrownout { worker: worker as u16, losses });
+                true
             }
-            RetryOutput::Retry { uintr } => {
-                let delay = self.cfg.watchdog.backoff.delay(attempt);
-                self.obs.emit(
-                    now,
-                    Event::PreemptRetry {
-                        worker: worker as u16,
-                        seq,
-                        attempt: attempt.min(u32::from(u8::MAX)) as u8,
-                        delay_ns: delay.as_nanos(),
-                    },
-                );
-                let at = now + delay;
-                if uintr {
-                    self.send_preempt_uipi(worker, seq, at, attempt + 1, true, ctx);
-                } else {
-                    // Degraded workers, failed probes, and the
-                    // signal-based mechanisms all retry through the
-                    // kernel signal path.
-                    self.send_preempt_signal(worker, seq, at, attempt + 1, ctx);
-                }
-            }
+            RetryOutput::Retry { uintr } => uintr,
             other => unreachable!("Lost verdict is Degrade, Brownout, or Retry, got {other:?}"),
+        };
+        let delay = self.cfg.watchdog.backoff.delay(attempt);
+        self.obs.emit(
+            now,
+            Event::PreemptRetry {
+                worker: worker as u16,
+                seq,
+                attempt: attempt.min(u32::from(u8::MAX)) as u8,
+                delay_ns: delay.as_nanos(),
+            },
+        );
+        let at = now + delay;
+        if uintr {
+            self.send_preempt_uipi(worker, seq, at, attempt + 1, true, ctx);
+        } else {
+            // Degraded workers, failed probes, and the signal-based
+            // mechanisms all retry through the kernel signal path.
+            self.send_preempt_signal(worker, seq, at, attempt + 1, ctx);
         }
     }
 
@@ -1187,11 +1276,12 @@ impl LibPreemptibleSystem {
                 ctx.cancel(*finish_ev);
                 debug_assert!(started_at <= now);
                 let executed = now.saturating_since(started_at);
+                let central = self.cfg.dispatch == DispatchMode::Central;
                 let w = &mut self.workers[worker];
                 w.clock.charge(TimeClass::Work, executed);
                 w.clock.charge(TimeClass::Preemption, recv_cost + self.cfg.hw.fcontext_switch);
                 w.seq += 1;
-                w.state = WState::Idle;
+                w.state = if central { WState::Switching } else { WState::Idle };
                 // The send landed: retire its watchdog deadline before
                 // the next send overwrites it (the sweep would only see
                 // the overwrite), keeping the loss streak strictly
@@ -1206,25 +1296,17 @@ impl LibPreemptibleSystem {
                     if c.remaining.is_zero() {
                         // Preemption landed exactly at completion:
                         // treat as completed.
-                        let (arrived, class, total) = (c.arrived, c.class, c.total);
-                        let tv = task_view(id, self.pool.get(id));
-                        self.pool.release(id);
-                        self.obs.emit(
-                            now,
-                            Event::TaskFinish {
-                                worker: worker as u16,
-                                fiber: id.index() as u32,
-                                latency_ns: now.since(arrived).as_nanos(),
-                            },
-                        );
-                        self.record_completion(arrived, class, total, now);
-                        self.policy.task_finished(&tv);
+                        self.retire(worker, id, now);
                     } else {
                         // Cache/TLB pollution: the resumed computation
                         // will take a bit longer.
                         let c = self.pool.get_mut(id);
                         c.remaining += self.cfg.hw.switch_pollution;
                         self.pool.park(id);
+                        if central {
+                            // cFCFS: preempted work re-enters at the tail.
+                            self.central.push_back(id);
+                        }
                         self.preemptions += 1;
                         self.obs.emit(
                             now,
@@ -1239,6 +1321,11 @@ impl LibPreemptibleSystem {
                     }
                 }
                 self.disarm_deadline(worker, ctx);
+                if central {
+                    // Other idle workers may take the requeued context
+                    // while this one runs the trampoline.
+                    self.kick_dispatcher(ctx);
+                }
                 ctx.at(
                     now + recv_cost + self.cfg.hw.fcontext_switch,
                     Ev::Pick { worker },
@@ -1267,7 +1354,7 @@ impl LibPreemptibleSystem {
                 self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
                 self.workers[worker].clock.charge(TimeClass::Preemption, recv_cost);
             }
-            WState::Idle => {
+            WState::Idle | WState::Switching => {
                 // Spurious delivery to an idle worker: handler cost only.
                 self.spurious += 1;
                 self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
@@ -1287,13 +1374,14 @@ impl LibPreemptibleSystem {
     /// costs no stream draws.
     fn admission_verdict(&self, class: u8) -> Option<AdmissionVerdict> {
         // Backlog = everything not currently executing: the dispatcher
-        // queue, worker local queues, and parked fibers. Under a
-        // preemptive policy the overload mass sits in the parked set
-        // (every quantum expiry parks the fiber again), so leaving it
-        // out would blind the gate exactly when it matters.
+        // queue, worker local queues, and parked fibers (under central
+        // dispatch, the central queue: it holds every parked fiber).
+        // Under a preemptive policy the overload mass sits in the parked
+        // set (every quantum expiry parks the fiber again), so leaving
+        // it out would blind the gate exactly when it matters.
         let queued = self.dispatch_queue.len()
             + self.workers.iter().map(|w| w.local.len()).sum::<usize>()
-            + self.pool.parked();
+            + self.pool.parked().max(self.central.len());
         let depth = u32::try_from(queued).unwrap_or(u32::MAX);
         let adm = &self.cfg.admission;
         let pressured = self.workers.iter().any(|w| w.retry.tier() > Tier::Healthy);
@@ -1313,22 +1401,87 @@ impl LibPreemptibleSystem {
         pressured.then_some(AdmissionVerdict { shed: false, queued: depth })
     }
 
-    fn handle_finish(&mut self, worker: usize, seq: u64, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[worker].seq != seq {
-            return; // cancelled-but-raced finish; ignore
+    /// Admits one request past the dispatcher: the admission gate, a
+    /// context from the pool, then a worker's local queue (per-worker
+    /// dispatch) or the central queue.
+    fn admit(&mut self, req: PendingReq, ctx: &mut Ctx<'_, Ev>) {
+        let now = ctx.now();
+        if self.cfg.admission.enabled {
+            if let Some(verdict) = self.admission_verdict(req.class) {
+                let queued = verdict.queued;
+                if verdict.shed {
+                    // A shed is a drop taken early, before a context is
+                    // burned on a request the queue cannot serve in
+                    // time: it counts against the same conservation
+                    // total as a pool-exhaustion drop, but carries its
+                    // own typed event so overload behaviour is
+                    // attributable in traces.
+                    self.dropped += 1;
+                    self.obs.emit(now, Event::Shed { class: req.class, queued });
+                    return;
+                }
+                self.obs.emit(now, Event::Admitted { class: req.class, queued });
+            }
         }
-        let WState::Running { ctx: id, class, started, .. } = self.workers[worker].state else {
+        let Ok(id) = self.pool.allocate(self.arrivals, req.arrived, req.service, req.class) else {
+            self.dropped += 1;
+            self.obs.emit(now, Event::Drop { class: req.class });
             return;
         };
-        let now = ctx.now();
-        let executed = now.saturating_since(started);
-        self.workers[worker].clock.charge(TimeClass::Work, executed);
-        self.disarm_deadline(worker, ctx);
-        let (arrived, total) = {
-            let c = self.pool.get(id);
-            (c.arrived, c.total)
+        if self.cfg.dispatch == DispatchMode::Central {
+            self.window.on_queue_sample(self.central.len());
+            self.central.push_back(id);
+            self.kick_dispatcher(ctx);
+            return;
+        }
+        let tv = task_view(id, self.pool.get(id));
+        self.fill_depths();
+        let (choice, enq) = {
+            let queued: usize = self.depth_scratch.iter().sum();
+            let mut sctx = SchedCtx {
+                now,
+                queue_depths: &self.depth_scratch,
+                runnable: queued,
+                parked: self.pool.parked(),
+                window: self.last_window.as_ref(),
+                obs: &mut self.obs,
+            };
+            let choice = self.policy.select_cpu(&tv, &mut sctx);
+            let enq = self.policy.enqueue(&tv, &mut sctx);
+            (choice, enq)
         };
-        self.pool.get_mut(id).remaining = SimDur::ZERO;
+        let (w, explicit) = match choice {
+            Some(w) if w < self.workers.len() => (w, true),
+            _ => (self.shortest_queue(), false),
+        };
+        self.obs.emit(now, Event::PolicyDispatch { worker: w as u16, explicit });
+        self.window.on_queue_sample(self.workers[w].local.len());
+        match enq {
+            Enqueue::Back => self.workers[w].local.push_back(id),
+            Enqueue::Front => self.workers[w].local.push_front(id),
+        }
+        if matches!(self.workers[w].state, WState::Idle) {
+            ctx.immediately(Ev::Pick { worker: w });
+        }
+    }
+
+    /// Records one preemption send toward `worker`'s run `seq`.
+    fn note_issue(&mut self, at: SimTime, worker: usize, seq: u64, attempt: u32, uintr: bool) {
+        let attempt = attempt.min(u32::from(u8::MAX)) as u8;
+        self.obs.emit(at, Event::PreemptIssued { worker: worker as u16, seq, attempt, uintr });
+    }
+
+    /// Records one injected fault against `worker`.
+    fn note_fault(&mut self, at: SimTime, worker: usize, kind: FaultKind) {
+        self.obs.emit(at, Event::FaultInjected { worker: worker as u16, kind: kind as u8 });
+    }
+
+    /// Completes fiber `id` on `worker` at `now`: frees its context,
+    /// records its latency and tells the policy.
+    fn retire(&mut self, worker: usize, id: ContextId, now: SimTime) {
+        let c = self.pool.get_mut(id);
+        c.remaining = SimDur::ZERO;
+        let (arrived, class, total) = (c.arrived, c.class, c.total);
         let tv = task_view(id, self.pool.get(id));
         self.pool.release(id);
         self.obs.emit(
@@ -1341,6 +1494,20 @@ impl LibPreemptibleSystem {
         );
         self.record_completion(arrived, class, total, now);
         self.policy.task_finished(&tv);
+    }
+
+    fn handle_finish(&mut self, worker: usize, seq: u64, ctx: &mut Ctx<'_, Ev>) {
+        if self.workers[worker].seq != seq {
+            return; // cancelled-but-raced finish; ignore
+        }
+        let WState::Running { ctx: id, started, .. } = self.workers[worker].state else {
+            return;
+        };
+        let now = ctx.now();
+        let executed = now.saturating_since(started);
+        self.workers[worker].clock.charge(TimeClass::Work, executed);
+        self.disarm_deadline(worker, ctx);
+        self.retire(worker, id, now);
         let w = &mut self.workers[worker];
         w.seq += 1;
         w.state = WState::Idle;
@@ -1352,7 +1519,13 @@ impl LibPreemptibleSystem {
         if w.wd.is_some_and(|a| a.seq == seq) {
             w.wd = None;
         }
-        ctx.immediately(Ev::Pick { worker });
+        match self.cfg.dispatch {
+            DispatchMode::PerWorker => {
+                ctx.immediately(Ev::Pick { worker });
+            }
+            // Idle now: the dispatcher can hand this worker the head.
+            DispatchMode::Central => self.kick_dispatcher(ctx),
+        }
     }
 }
 
@@ -1381,17 +1554,20 @@ impl Model for LibPreemptibleSystem {
                 }
                 let (class, service) = self.spec.source.sample(now, &mut self.service_rng);
                 self.obs.emit(now, Event::Arrival { class });
-                self.dispatch_queue.push_back(PendingReq {
-                    arrived: now,
-                    class,
-                    service,
-                });
-                // Dispatcher serializes request handling.
-                let start = self.dispatch_free_at.max(now);
-                let cost = self.cfg.dispatch_cost;
-                self.dispatcher_clock.charge(TimeClass::Dispatch, cost);
-                self.dispatch_free_at = start + cost;
-                ctx.at(self.dispatch_free_at, Ev::Dispatched);
+                let req = PendingReq { arrived: now, class, service };
+                match self.cfg.dispatch {
+                    DispatchMode::PerWorker => {
+                        // Dispatcher serializes request handling.
+                        self.dispatch_queue.push_back(req);
+                        let start = self.dispatch_free_at.max(now);
+                        let cost = self.cfg.dispatch_cost;
+                        self.dispatcher_clock.charge(TimeClass::Dispatch, cost);
+                        self.dispatch_free_at = start + cost;
+                        ctx.at(self.dispatch_free_at, Ev::Dispatched);
+                    }
+                    // The dispatcher pays per hand-off instead.
+                    DispatchMode::Central => self.admit(req, ctx),
+                }
 
                 // Next arrival while the run lasts.
                 let next = self.arrivals_gen.next_arrival(now);
@@ -1404,75 +1580,9 @@ impl Model for LibPreemptibleSystem {
                     .dispatch_queue
                     .pop_front()
                     .expect("dispatched event without pending request");
-                if self.cfg.admission.enabled {
-                    if let Some(verdict) = self.admission_verdict(req.class) {
-                        let queued = verdict.queued;
-                        if verdict.shed {
-                            // A shed is a drop taken early, before a
-                            // context is burned on a request the queue
-                            // cannot serve in time: it counts against
-                            // the same conservation total as a
-                            // pool-exhaustion drop, but carries its own
-                            // typed event so overload behaviour is
-                            // attributable in traces.
-                            self.dropped += 1;
-                            self.obs.emit(
-                                ctx.now(),
-                                Event::Shed { class: req.class, queued },
-                            );
-                            return;
-                        }
-                        self.obs.emit(
-                            ctx.now(),
-                            Event::Admitted { class: req.class, queued },
-                        );
-                    }
-                }
-                match self
-                    .pool
-                    .allocate(self.arrivals, req.arrived, req.service, req.class)
-                {
-                    Ok(id) => {
-                        let now = ctx.now();
-                        let tv = task_view(id, self.pool.get(id));
-                        self.fill_depths();
-                        let (choice, enq) = {
-                            let queued: usize = self.depth_scratch.iter().sum();
-                            let mut sctx = SchedCtx {
-                                now,
-                                queue_depths: &self.depth_scratch,
-                                runnable: queued,
-                                parked: self.pool.parked(),
-                                window: self.last_window.as_ref(),
-                                obs: &mut self.obs,
-                            };
-                            let choice = self.policy.select_cpu(&tv, &mut sctx);
-                            let enq = self.policy.enqueue(&tv, &mut sctx);
-                            (choice, enq)
-                        };
-                        let (w, explicit) = match choice {
-                            Some(w) if w < self.workers.len() => (w, true),
-                            _ => (self.shortest_queue(), false),
-                        };
-                        self.obs.emit(
-                            now,
-                            Event::PolicyDispatch { worker: w as u16, explicit },
-                        );
-                        self.window.on_queue_sample(self.workers[w].local.len());
-                        match enq {
-                            Enqueue::Back => self.workers[w].local.push_back(id),
-                            Enqueue::Front => self.workers[w].local.push_front(id),
-                        }
-                        if matches!(self.workers[w].state, WState::Idle) {
-                            ctx.immediately(Ev::Pick { worker: w });
-                        }
-                    }
-                    Err(_) => {
-                        self.dropped += 1;
-                        self.obs.emit(ctx.now(), Event::Drop { class: req.class });
-                    }
-                }
+                self.admit(req, ctx);
             }
+            Ev::Handoff => self.handle_handoff(ctx),
             Ev::Pick { worker } => self.handle_pick(worker, ctx),
             Ev::Finish { worker, seq } => self.handle_finish(worker, seq, ctx),
             Ev::TimerCheck => {
@@ -1483,33 +1593,10 @@ impl Model for LibPreemptibleSystem {
                 if self.workers[worker].seq == seq
                     && matches!(self.workers[worker].state, WState::Running { .. })
                 {
-                    let now = ctx.now();
-                    self.obs.emit(
-                        now,
-                        Event::PreemptIssued {
-                            worker: worker as u16,
-                            seq,
-                            attempt: 0,
-                            uintr: false,
-                        },
-                    );
-                    let fault = self.injector.as_mut().and_then(|i| i.signal_at(now.as_nanos()));
-                    if let Some(f) = fault {
-                        self.obs.emit(
-                            now,
-                            Event::FaultInjected { worker: worker as u16, kind: f.kind() as u8 },
-                        );
-                    }
-                    // Sender is the kernel timer softirq: charge kernel
-                    // time to the victim's core. A lost signal schedules
-                    // nothing — the watchdog armed at the expiry instant
-                    // recovers it.
-                    if let Some(d) =
-                        self.signal_path.deliver(now, fault, worker as u16, &mut self.obs)
-                    {
-                        self.workers[worker].clock.charge(TimeClass::Kernel, d.sender_busy);
-                        ctx.at(d.handler_start, Ev::PreemptArrive { worker, seq, uintr: false });
-                    }
+                    // Sender is the kernel timer softirq, so the send
+                    // cost lands on the victim's core. The watchdog
+                    // re-arms at the expiry instant it was armed for.
+                    self.send_preempt_signal(worker, seq, ctx.now(), 0, ctx);
                 }
             }
             Ev::PreemptArrive { worker, seq, uintr } => {
@@ -1566,7 +1653,7 @@ const CORE_COUNTERS: [(TimeClass, Counter); 5] = [
 /// assert!(report.completions > 1_000);
 /// ```
 pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec) -> RunReport {
-    let system_name = format!("LibPreemptible[{:?}]/{}", cfg.mech, policy.name());
+    let system_name = ["LibPreemptible[", cfg.mech.name(), "]/", policy.name()].concat();
     let duration = spec.duration;
     let offered = spec.arrivals.peak_rate();
     let control_period = cfg.control_period;

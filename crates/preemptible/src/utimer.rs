@@ -91,7 +91,8 @@ pub struct UtimerRegistry {
     /// Hot: one aligned line per slot; the only thing `poll`'s scan
     /// loop reads.
     lines: Vec<DeadlineLine>,
-    /// Cold: same indexing as `lines`.
+    /// Cold: same indexing as `lines`, grown only as far as the last
+    /// labeled slot.
     meta: Vec<SlotMeta>,
     armed: usize,
 }
@@ -102,12 +103,20 @@ impl UtimerRegistry {
         Self::default()
     }
 
+    /// An empty registry with room for `slots` registrations.
+    pub(crate) fn with_capacity(slots: usize) -> Self {
+        UtimerRegistry {
+            lines: Vec::with_capacity(slots),
+            meta: Vec::new(),
+            armed: 0,
+        }
+    }
+
     /// Registers a new deadline slot (`utimer_register`): allocates the
     /// dedicated cacheline and wires the kernel-side handler fd, which
     /// the runtime charges separately.
     pub fn register(&mut self) -> SlotId {
         self.lines.push(DeadlineLine::default());
-        self.meta.push(SlotMeta::default());
         SlotId(self.lines.len() - 1)
     }
 
@@ -115,6 +124,7 @@ impl UtimerRegistry {
     /// the cold table so the scan path never loads it.
     pub fn register_labeled(&mut self, label: &str) -> SlotId {
         let slot = self.register();
+        self.meta.resize_with(slot.0 + 1, SlotMeta::default);
         self.meta[slot.0].label = Some(label.to_string());
         slot
     }

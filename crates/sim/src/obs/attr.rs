@@ -545,7 +545,9 @@ pub struct Attribution {
     enabled: bool,
     workers: Vec<WorkerAttr>,
     ledgers: Vec<Ledger>,
-    stats: PhaseStats,
+    /// Boxed: a few kilobytes that would otherwise be copied every time
+    /// the owning model moves.
+    stats: Box<PhaseStats>,
 }
 
 impl Attribution {
@@ -582,7 +584,7 @@ impl Attribution {
         self.flush();
         self.workers.clear();
         self.ledgers.clear();
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut *self.stats)
     }
 
     /// Restores the phase-count invariant the hot path defers.

@@ -296,7 +296,9 @@ impl fmt::Display for SimDur {
         } else if ns >= 1_000_000 {
             write!(f, "{:.3}ms", ns as f64 / 1e6)
         } else if ns >= 1_000 {
-            write!(f, "{:.3}us", ns as f64 / 1e3)
+            // Exact in integers: the same text as `{:.3}` of `ns / 1e3`,
+            // without float formatting.
+            write!(f, "{}.{:03}us", ns / 1_000, ns % 1_000)
         } else {
             write!(f, "{ns}ns")
         }
@@ -382,5 +384,13 @@ mod tests {
         assert_eq!(SimDur::secs(4).to_string(), "4.000s");
         assert_eq!(SimDur::MAX.to_string(), "inf");
         assert_eq!(SimTime::from_nanos(1_500).to_string(), "1.500us");
+    }
+
+    #[test]
+    fn microsecond_display_matches_float_rounding() {
+        for ns in (1_000..1_000_000).step_by(7).chain([1_000, 999_999]) {
+            let float = format!("{:.3}us", ns as f64 / 1e3);
+            assert_eq!(SimDur::nanos(ns).to_string(), float, "{ns} ns");
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! more heap allocations. A counting global allocator measures two runs
 //! that differ only in simulated duration; the difference must be a
 //! small constant, not a per-preemption, per-request or per-control-
-//! window cost. Every variant runs with a 2 ms control period, so a
-//! 200 ms run rolls the controller's window 75 more times than a 50 ms
-//! one.
+//! window cost. Every runtime variant runs with a 2 ms control period,
+//! so a 200 ms run rolls the controller's window 75 more times than a
+//! 50 ms one; the Shinjuku variant covers central dispatch and posted
+//! IPIs.
 //!
 //! The file holds a single test so no concurrent test thread can
 //! allocate while a run is being counted.
@@ -15,9 +16,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use libpreemptible::runtime::AdmissionConfig;
 use libpreemptible::{
-    run, AdaptiveConfig, FcfsPreempt, PreemptMech, QuantumController, RuntimeConfig, SchedPolicy,
-    ServiceSource, WorkloadSpec,
+    run, AdaptiveConfig, FcfsPreempt, PreemptMech, QuantumController, RunReport, RuntimeConfig,
+    SchedPolicy, ServiceSource, WorkloadSpec,
 };
+use lp_baselines::{run_shinjuku, ShinjukuConfig};
 use lp_sim::fault::FaultPlan;
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -55,6 +57,13 @@ fn dist_and_rate() -> (ServiceDist, f64) {
 /// Builds a fresh policy for each run.
 type MakePolicy = fn() -> Box<dyn SchedPolicy>;
 
+/// One way to run the workload: the runtime under a configuration and
+/// policy, or the Shinjuku baseline.
+enum Variant {
+    Runtime(Box<RuntimeConfig>, MakePolicy),
+    Shinjuku(ShinjukuConfig),
+}
+
 fn fixed() -> Box<dyn SchedPolicy> {
     Box::new(FcfsPreempt::fixed(SimDur::micros(10)))
 }
@@ -67,8 +76,8 @@ fn adaptive() -> Box<dyn SchedPolicy> {
 }
 
 /// Heap allocations and preemptions of one run of `ms` simulated
-/// milliseconds under `cfg` with a fresh policy from `policy`.
-fn allocs_for(ms: u64, cfg: &RuntimeConfig, policy: MakePolicy) -> (u64, u64) {
+/// milliseconds of `variant`.
+fn allocs_for(ms: u64, variant: &Variant) -> (u64, u64) {
     let (dist, rate) = dist_and_rate();
     let spec = WorkloadSpec {
         source: ServiceSource::Phased(PhasedService::constant(dist)),
@@ -76,9 +85,14 @@ fn allocs_for(ms: u64, cfg: &RuntimeConfig, policy: MakePolicy) -> (u64, u64) {
         duration: SimDur::millis(ms),
         warmup: SimDur::millis(5),
     };
-    let (cfg, policy) = (cfg.clone(), policy());
+    let run_it = || -> RunReport {
+        match variant {
+            Variant::Runtime(cfg, policy) => run(RuntimeConfig::clone(cfg), policy(), spec),
+            Variant::Shinjuku(cfg) => run_shinjuku(cfg.clone(), spec),
+        }
+    };
     let before = ALLOCS.load(Ordering::SeqCst);
-    let report = run(cfg, policy, spec);
+    let report = run_it();
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
     assert!(report.is_conserved());
     (allocs, report.preemptions)
@@ -96,19 +110,34 @@ fn longer_runs_allocate_no_more_than_a_constant() {
         ..FaultPlan::default()
     };
     let admission = AdmissionConfig { enabled: true, ..AdmissionConfig::default() };
-    let variants: [(&str, RuntimeConfig, MakePolicy); 5] = [
-        ("fixed", base.clone(), fixed),
-        ("adaptive", base.clone(), adaptive),
-        ("faulted", RuntimeConfig { faults, ..base.clone() }, fixed),
-        ("admission-armed", RuntimeConfig { admission, ..base.clone() }, fixed),
-        ("kernel-timer", RuntimeConfig { mech: PreemptMech::KernelTimerSignal, ..base }, fixed),
+    let shinjuku = ShinjukuConfig {
+        workers: 4,
+        quantum: SimDur::micros(10),
+        ..ShinjukuConfig::default()
+    };
+    let variants = [
+        ("fixed", Variant::Runtime(Box::new(base.clone()), fixed)),
+        ("adaptive", Variant::Runtime(Box::new(base.clone()), adaptive)),
+        ("faulted", Variant::Runtime(Box::new(RuntimeConfig { faults, ..base.clone() }), fixed)),
+        (
+            "admission-armed",
+            Variant::Runtime(Box::new(RuntimeConfig { admission, ..base.clone() }), fixed),
+        ),
+        (
+            "kernel-timer",
+            Variant::Runtime(
+                Box::new(RuntimeConfig { mech: PreemptMech::KernelTimerSignal, ..base }),
+                fixed,
+            ),
+        ),
+        ("shinjuku", Variant::Shinjuku(shinjuku)),
     ];
-    for (name, cfg, policy) in &variants {
-        let (short, _) = allocs_for(50, cfg, *policy);
-        let (long, preemptions) = allocs_for(200, cfg, *policy);
+    for (name, variant) in &variants {
+        let (short, _) = allocs_for(50, variant);
+        let (long, preemptions) = allocs_for(200, variant);
         eprintln!("{name}: allocs 50 ms {short}, 200 ms {long} ({preemptions} preemptions)");
-        if *name == "fixed" {
-            assert!(preemptions > 1_000, "the probe must be preemption-heavy");
+        if matches!(*name, "fixed" | "shinjuku") {
+            assert!(preemptions > 1_000, "{name}: the probe must be preemption-heavy");
         }
         assert!(
             long <= short + 32,

@@ -13,6 +13,7 @@
 use libpreemptible::{
     run, FcfsPreempt, PreemptMech, RunReport, RuntimeConfig, ServiceSource, WorkloadSpec,
 };
+use lp_baselines::{run_shinjuku, ShinjukuConfig};
 use lp_hw::TimeClass;
 use lp_sim::fault::FaultPlan;
 use lp_sim::obs::{Event, TimedEvent};
@@ -106,6 +107,7 @@ fn counters_match_run_report_totals() {
         PreemptMech::Uintr,
         PreemptMech::TimerCoreSignal,
         PreemptMech::KernelTimerSignal,
+        PreemptMech::PostedIpi,
     ] {
         let r = traced_run(mech);
         let m = &r.metrics;
@@ -145,6 +147,11 @@ fn counters_match_run_report_totals() {
             PreemptMech::TimerCoreSignal | PreemptMech::KernelTimerSignal => {
                 assert_eq!(m.counter("uipi_sent"), 0);
                 assert!(m.counter("signals_sent") > 0);
+            }
+            PreemptMech::PostedIpi => {
+                assert_eq!(m.counter("uipi_sent"), 0);
+                assert_eq!(m.counter("signals_sent"), 0);
+                assert!(m.counter("preempts_issued") > 0);
             }
             PreemptMech::None => unreachable!(),
         }
@@ -197,6 +204,13 @@ fn core_time_counters_mirror_core_clocks() {
     };
     let policy = Box::new(FcfsPreempt::fixed(SimDur::micros(10)));
     runs.push(("faulted Uintr".into(), run(faulted, policy, long_tasks)));
+    // Shinjuku: central dispatch with posted IPIs from the dispatcher.
+    let shinjuku = ShinjukuConfig {
+        workers: 2,
+        quantum: SimDur::micros(10),
+        ..ShinjukuConfig::default()
+    };
+    runs.push(("Shinjuku".into(), run_shinjuku(shinjuku, preempt_heavy_spec())));
 
     for (name, r) in &runs {
         let m = &r.metrics;
@@ -223,6 +237,12 @@ fn core_time_counters_mirror_core_clocks() {
     assert!(counter(3, "core_kernel_ns") > 0);
     assert!(counter(4, "mech_degradations") > 0, "faults must push UINTR onto signals");
     assert!(counter(4, "signals_sent") > 0);
+    // Shinjuku's dispatcher is counted once: its hand-offs in `cores`,
+    // its ICR writes on the timer core.
+    let shinjuku = &runs[5].1;
+    assert!(counter(5, "core_preemption_ns") > 0);
+    assert!(shinjuku.timer_core.charged(TimeClass::Preemption) > SimDur::ZERO);
+    assert_eq!(shinjuku.timer_core.charged(TimeClass::Dispatch), SimDur::ZERO);
 }
 
 #[test]

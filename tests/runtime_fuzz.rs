@@ -7,7 +7,9 @@ use libpreemptible::policies::{
     ClassQuantum, Edf, FcfsPreempt, Mlfq, RoundRobin, Srpt, Vruntime,
 };
 use libpreemptible::sched::SchedPolicy;
-use libpreemptible::{run, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec};
+use libpreemptible::{
+    run, DispatchMode, PreemptMech, RuntimeConfig, ServiceSource, WorkloadSpec,
+};
 use lp_hw::TimeClass;
 use lp_sim::SimDur;
 use lp_workload::{PhasedService, RateSchedule, ServiceDist};
@@ -23,23 +25,24 @@ struct FuzzCase {
     dist: u8,
     pool: usize,
     seed: u64,
-    stealing: bool,
+    /// 0: per-worker queues, 1: per-worker with stealing, 2: central.
+    dispatch: u8,
 }
 
 fn case() -> impl Strategy<Value = FuzzCase> {
     (
         1usize..6,
-        0u8..4,
+        0u8..5,
         0u8..POLICIES,
         1u64..200,
         5u64..140, // up to 1.4x overload
         0u8..4,
         16usize..512,
         0u64..1_000,
-        any::<bool>(),
+        0u8..3,
     )
         .prop_map(
-            |(workers, mech, policy, quantum_us, rho_pct, dist, pool, seed, stealing)| FuzzCase {
+            |(workers, mech, policy, quantum_us, rho_pct, dist, pool, seed, dispatch)| FuzzCase {
                 workers,
                 mech,
                 policy,
@@ -48,7 +51,7 @@ fn case() -> impl Strategy<Value = FuzzCase> {
                 dist,
                 pool,
                 seed,
-                stealing,
+                dispatch,
             },
         )
 }
@@ -84,6 +87,7 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
         0 => PreemptMech::Uintr,
         1 => PreemptMech::TimerCoreSignal,
         2 => PreemptMech::KernelTimerSignal,
+        3 => PreemptMech::PostedIpi,
         _ => PreemptMech::None,
     };
     let policy = policy(case, mech, SimDur::micros(case.quantum_us));
@@ -101,7 +105,8 @@ fn build(case: &FuzzCase) -> (RuntimeConfig, Box<dyn SchedPolicy>, WorkloadSpec)
         workers: case.workers,
         mech,
         pool_capacity: case.pool,
-        work_stealing: case.stealing,
+        work_stealing: case.dispatch == 1,
+        dispatch: if case.dispatch == 2 { DispatchMode::Central } else { DispatchMode::PerWorker },
         seed: case.seed,
         control_period: SimDur::millis(3),
         ..RuntimeConfig::default()
@@ -124,7 +129,8 @@ proptest! {
     fn conservation_and_accounting(case in case()) {
         let (cfg, policy, spec) = build(&case);
         let duration = spec.duration;
-        let run_to_completion = policy.quantum_hint(0) == SimDur::MAX;
+        let run_to_completion =
+            cfg.mech == PreemptMech::None || policy.quantum_hint(0) == SimDur::MAX;
         let r = run(cfg, policy, spec);
         prop_assert!(
             r.is_conserved(),
@@ -143,7 +149,7 @@ proptest! {
             prop_assert!(r.latency.max() >= r.latency.min());
         }
         // Non-preemptive configurations must never preempt.
-        if case.mech == 3 || run_to_completion {
+        if run_to_completion {
             prop_assert_eq!(r.preemptions, 0);
         }
     }
