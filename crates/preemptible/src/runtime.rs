@@ -440,12 +440,9 @@ pub struct LibPreemptibleSystem {
     /// Cross-layer typed event trace + metrics registry.
     obs: Observer,
 
-    // Counters (whole run).
+    /// Arrivals so far; each new request's id. The other whole-run
+    /// totals are read from the metrics registry.
     arrivals: u64,
-    completions: u64,
-    dropped: u64,
-    preemptions: u64,
-    spurious: u64,
 
     // Post-warmup stats.
     window: WindowStats,
@@ -541,10 +538,6 @@ impl LibPreemptibleSystem {
             handoff_pending: false,
             obs,
             arrivals: 0,
-            completions: 0,
-            dropped: 0,
-            preemptions: 0,
-            spurious: 0,
             window: WindowStats::new(),
             latency: Histogram::new(),
             latency_by_class: (0..MAX_CLASSES).map(|_| Histogram::new()).collect(),
@@ -731,7 +724,6 @@ impl LibPreemptibleSystem {
     }
 
     fn record_completion(&mut self, arrived: SimTime, class: u8, service: SimDur, now: SimTime) {
-        self.completions += 1;
         self.window.on_completion(now.since(arrived).as_nanos());
         self.window.on_service_sample(service.as_nanos());
         if !self.past_warmup(arrived) {
@@ -1307,7 +1299,6 @@ impl LibPreemptibleSystem {
                             // cFCFS: preempted work re-enters at the tail.
                             self.central.push_back(id);
                         }
-                        self.preemptions += 1;
                         self.obs.emit(
                             now,
                             Event::Preempt {
@@ -1342,7 +1333,6 @@ impl LibPreemptibleSystem {
                 // now executes. Shift the current run (start and
                 // finish) by the handler cost so executed-time math
                 // stays consistent.
-                self.spurious += 1;
                 *started += recv_cost;
                 ctx.cancel(*finish_ev);
                 let (id, started_at) = (*running_ctx, *started);
@@ -1356,7 +1346,6 @@ impl LibPreemptibleSystem {
             }
             WState::Idle | WState::Switching => {
                 // Spurious delivery to an idle worker: handler cost only.
-                self.spurious += 1;
                 self.obs.emit(now, Event::SpuriousPreempt { worker: worker as u16 });
                 self.workers[worker].clock.charge(TimeClass::Preemption, recv_cost);
             }
@@ -1416,7 +1405,6 @@ impl LibPreemptibleSystem {
                     // total as a pool-exhaustion drop, but carries its
                     // own typed event so overload behaviour is
                     // attributable in traces.
-                    self.dropped += 1;
                     self.obs.emit(now, Event::Shed { class: req.class, queued });
                     return;
                 }
@@ -1424,7 +1412,6 @@ impl LibPreemptibleSystem {
             }
         }
         let Ok(id) = self.pool.allocate(self.arrivals, req.arrived, req.service, req.class) else {
-            self.dropped += 1;
             self.obs.emit(now, Event::Drop { class: req.class });
             return;
         };
@@ -1713,19 +1700,20 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
         .map(|t| end.saturating_since(t).as_nanos())
         .max()
         .unwrap_or(0);
+    let counter = |c| m.obs.metrics().get(c);
     RunReport {
         system: system_name,
         offered_rps: offered,
         duration,
         arrivals: m.arrivals,
-        completions: m.completions,
-        dropped: m.dropped,
+        completions: counter(Counter::TaskFinishes),
+        dropped: counter(Counter::Drops) + counter(Counter::Sheds),
         in_flight,
         oldest_inflight_ns,
         latency: m.latency,
         latency_by_class: m.latency_by_class,
-        preemptions: m.preemptions,
-        spurious_preemptions: m.spurious,
+        preemptions: counter(Counter::Preemptions),
+        spurious_preemptions: counter(Counter::SpuriousPreemptions),
         cores,
         per_worker,
         timer_core,

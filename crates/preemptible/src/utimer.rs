@@ -14,11 +14,9 @@
 //!
 //! The registry mirrors the paper's layout: per slot, one
 //! 64-byte-aligned **hot line** holding exactly what the timer core's
-//! scan loop reads (the deadline plus its arm generation), with cold
-//! metadata (labels) in a separate table so the scan never drags it
-//! through the cache. With one slot per worker the linear pass *is*
-//! the fast path, exactly like the paper's per-worker deadline
-//! cachelines.
+//! scan loop reads (the deadline). With one slot per worker the linear
+//! pass *is* the fast path, exactly like the paper's per-worker
+//! deadline cachelines.
 //!
 //! For "applications with large thread counts and request for higher
 //! number of timers" the paper opts into a **timing wheel** (its ref.
@@ -52,15 +50,6 @@ impl SlotId {
 struct DeadlineLine {
     /// The armed deadline, if any (absolute simulated TSC).
     deadline: Option<SimTime>,
-    /// Bumped on every [`UtimerRegistry::arm`]: distinguishes re-arms
-    /// of the same slot in traces.
-    arm_gen: u32,
-}
-
-/// Cold per-slot metadata, deliberately *off* the scan path.
-#[derive(Debug, Clone, Default)]
-struct SlotMeta {
-    label: Option<String>,
 }
 
 /// The deadline-slot registry the timer core scans.
@@ -91,9 +80,6 @@ pub struct UtimerRegistry {
     /// Hot: one aligned line per slot; the only thing `poll`'s scan
     /// loop reads.
     lines: Vec<DeadlineLine>,
-    /// Cold: same indexing as `lines`, grown only as far as the last
-    /// labeled slot.
-    meta: Vec<SlotMeta>,
     armed: usize,
 }
 
@@ -107,7 +93,6 @@ impl UtimerRegistry {
     pub(crate) fn with_capacity(slots: usize) -> Self {
         UtimerRegistry {
             lines: Vec::with_capacity(slots),
-            meta: Vec::new(),
             armed: 0,
         }
     }
@@ -118,27 +103,6 @@ impl UtimerRegistry {
     pub fn register(&mut self) -> SlotId {
         self.lines.push(DeadlineLine::default());
         SlotId(self.lines.len() - 1)
-    }
-
-    /// [`register`](Self::register) with a diagnostic label, kept in
-    /// the cold table so the scan path never loads it.
-    pub fn register_labeled(&mut self, label: &str) -> SlotId {
-        let slot = self.register();
-        self.meta.resize_with(slot.0 + 1, SlotMeta::default);
-        self.meta[slot.0].label = Some(label.to_string());
-        slot
-    }
-
-    /// The diagnostic label of `slot`, if one was given at
-    /// registration.
-    pub fn label(&self, slot: SlotId) -> Option<&str> {
-        self.meta.get(slot.0).and_then(|m| m.label.as_deref())
-    }
-
-    /// How many times `slot` has been armed — re-arms of one slot are
-    /// distinguishable in traces.
-    pub fn arm_generation(&self, slot: SlotId) -> u32 {
-        self.lines.get(slot.0).map_or(0, |l| l.arm_gen)
     }
 
     /// Arms `slot` to fire at `deadline` (`utimer_arm_deadline`): just a
@@ -156,7 +120,6 @@ impl UtimerRegistry {
             self.armed += 1;
         }
         line.deadline = Some(deadline);
-        line.arm_gen = line.arm_gen.wrapping_add(1);
         obs.emit(at, Event::DeadlineArmed { slot: slot.0 as u16, deadline_ns: deadline.as_nanos() });
     }
 
@@ -365,34 +328,6 @@ mod tests {
         arm(&mut r, a, t(10));
         arm(&mut r, b, t(10));
         assert_eq!(expired(&mut r, t(10)), vec![a, b, c]);
-    }
-
-    #[test]
-    fn registry_labels_live_in_the_cold_table() {
-        let mut r = UtimerRegistry::new();
-        let plain = r.register();
-        let named = r.register_labeled("worker-3");
-        assert_eq!(r.label(plain), None);
-        assert_eq!(r.label(named), Some("worker-3"));
-        // Labels are inert metadata: arming/firing ignores them.
-        arm(&mut r, named, t(10));
-        assert_eq!(expired(&mut r, t(10)), vec![named]);
-        assert_eq!(r.label(named), Some("worker-3"));
-        assert_eq!(r.label(SlotId(99)), None);
-    }
-
-    #[test]
-    fn registry_arm_generation_counts_rearms() {
-        let mut r = UtimerRegistry::new();
-        let a = r.register();
-        assert_eq!(r.arm_generation(a), 0);
-        arm(&mut r, a, t(100));
-        arm(&mut r, a, t(200)); // re-arm, same slot
-        assert_eq!(r.arm_generation(a), 2);
-        disarm(&mut r, a);
-        assert_eq!(r.arm_generation(a), 2, "disarm is not an arm");
-        arm(&mut r, a, t(300));
-        assert_eq!(r.arm_generation(a), 3);
     }
 
     #[test]

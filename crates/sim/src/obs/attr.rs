@@ -9,8 +9,11 @@
 //! *is* an event boundary. Per-request breakdowns aggregate into
 //! fixed-size power-of-two [`PhaseHistogram`]s (per phase and
 //! end-to-end) and the worst requests are pinned whole as
-//! [`Exemplar`]s, phase breakdown included. The phase vocabulary and
-//! the bucket scheme are documented in `docs/TRACING.md`.
+//! [`Exemplar`]s, phase breakdown included. Every completion takes one
+//! path, [`PhaseStats::record`], which records all six phases (zeros
+//! into bucket 0) and the end-to-end latency at once, so the stats are
+//! complete at any read. The phase vocabulary and the bucket scheme
+//! are documented in `docs/TRACING.md`.
 //!
 //! Exactness contract: an exemplar's six phase durations sum to its
 //! end-to-end latency, always. [`Phase::Queued`] is the residual —
@@ -19,9 +22,6 @@
 //! queue — so the identity holds by construction.
 
 use super::event::Event;
-
-/// Sentinel: no fiber currently on this worker.
-const NO_FIBER: u32 = u32::MAX;
 
 /// The typed phases a request's wall-clock time decomposes into.
 ///
@@ -118,11 +118,8 @@ impl PhaseHistogram {
     /// The bucket index of `ns`.
     #[inline]
     pub fn bucket_index(ns: u64) -> usize {
-        if ns == 0 {
-            0
-        } else {
-            (PHASE_HIST_BUCKETS - ns.leading_zeros() as usize).min(PHASE_HIST_BUCKETS - 1)
-        }
+        // 0 has 64 leading zeros, so it lands in bucket 0.
+        ((u64::BITS - ns.leading_zeros()) as usize).min(PHASE_HIST_BUCKETS - 1)
     }
 
     /// The inclusive `[lo, hi]` nanosecond range of bucket `i`.
@@ -140,26 +137,6 @@ impl PhaseHistogram {
         self.counts[Self::bucket_index(ns)] += 1;
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
-    }
-
-    /// Records one duration without maintaining the `count` field —
-    /// the completion hot path defers it, and
-    /// [`PhaseStats::seal_zeros`] re-derives every count from the
-    /// bucket sums before any read. Cuts one read-modify-write per
-    /// record, which is material at one call per phase per completion.
-    #[inline(always)]
-    fn record_fast(&mut self, ns: u64) {
-        self.counts[Self::bucket_index(ns)] += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-    }
-
-    /// Records an exact zero: bucket 0 directly, no shift, no sum add.
-    /// The completion-heavy hot path calls this for the (typically
-    /// four) phases a healthy request never enters.
-    #[inline]
-    fn record_zero(&mut self) {
-        self.counts[0] += 1;
-        self.count += 1;
     }
 
     /// Element-wise sum: afterwards `self` is exactly the histogram of
@@ -285,93 +262,17 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    /// Records one completed request's breakdown and considers it for
-    /// an exemplar slot (kept iff among the worst seen so far;
-    /// strictly-greater replaces, so ties keep the earliest).
+    /// Records one completed request's breakdown — every phase, zeros
+    /// included, so each phase histogram's count equals the end-to-end
+    /// count — and considers it for an exemplar slot (kept iff among
+    /// the worst seen so far; strictly-greater replaces, so ties keep
+    /// the earliest).
     pub fn record(&mut self, ex: Exemplar) {
-        for p in Phase::ALL {
-            let ns = ex.phase(p);
-            let h = &mut self.per_phase[p as usize];
-            if ns == 0 {
-                h.record_zero();
-            } else {
-                h.record(ns);
-            }
+        for (h, &ns) in self.per_phase.iter_mut().zip(ex.phase_ns.iter()) {
+            h.record(ns);
         }
         self.end_to_end.record(ex.latency_ns);
         self.consider(ex);
-    }
-
-    /// Records one completion, deferring zero-valued phases: only the
-    /// phases the request actually entered touch a histogram here; the
-    /// implicit zeros are owed until the next [`seal_zeros`] call
-    /// restores the invariant that every phase histogram's count
-    /// equals the end-to-end count. The accountant's hot path uses
-    /// this (with a seal at read time); external callers use
-    /// [`record`](Self::record), which is always sealed.
-    ///
-    /// [`seal_zeros`]: Self::seal_zeros
-    fn record_hot(&mut self, ex: Exemplar) {
-        for p in Phase::ALL {
-            let ns = ex.phase_ns[p as usize];
-            if ns != 0 {
-                self.per_phase[p as usize].record_fast(ns);
-            }
-        }
-        self.end_to_end.record_fast(ex.latency_ns);
-        self.consider(ex);
-    }
-
-    /// The clean-slice completion path: the breakdown is known to be
-    /// exactly `queued_ns` + `label_ns` (in `label`) + `switch_ns`, so
-    /// the three scalars go straight into their histograms — no
-    /// breakdown array, and the 80-byte [`Exemplar`] is only built
-    /// when the completion actually beats the exemplar pool's
-    /// admission floor. Defers zero phases and counts exactly like
-    /// [`record_hot`](Self::record_hot).
-    #[allow(clippy::too_many_arguments)]
-    fn record_parts(
-        &mut self,
-        label: Phase,
-        label_ns: u64,
-        switch_ns: u64,
-        queued_ns: u64,
-        latency_ns: u64,
-        fiber: u32,
-        worker: u16,
-        finished_at_ns: u64,
-    ) {
-        if queued_ns != 0 {
-            self.per_phase[Phase::Queued as usize].record_fast(queued_ns);
-        }
-        if label_ns != 0 {
-            self.per_phase[label as usize].record_fast(label_ns);
-        }
-        if switch_ns != 0 {
-            self.per_phase[Phase::PreemptSwitch as usize].record_fast(switch_ns);
-        }
-        self.end_to_end.record_fast(latency_ns);
-        if (self.filled as usize) < EXEMPLAR_SLOTS || latency_ns > self.floor {
-            let mut phase_ns = [0u64; Phase::COUNT];
-            phase_ns[Phase::Queued as usize] = queued_ns;
-            phase_ns[label as usize] = label_ns;
-            phase_ns[Phase::PreemptSwitch as usize] =
-                phase_ns[Phase::PreemptSwitch as usize].saturating_add(switch_ns);
-            self.consider(Exemplar { fiber, worker, finished_at_ns, latency_ns, phase_ns });
-        }
-    }
-
-    /// Folds the zeros [`record_hot`](Self::record_hot) deferred into
-    /// bucket 0, in O(phases). Idempotent; a no-op after plain
-    /// [`record`](Self::record) calls.
-    fn seal_zeros(&mut self) {
-        let total: u64 = self.end_to_end.counts.iter().sum();
-        self.end_to_end.count = total;
-        for h in self.per_phase.iter_mut() {
-            let cnt: u64 = h.counts.iter().sum();
-            h.counts[0] += total.saturating_sub(cnt);
-            h.count = total;
-        }
     }
 
     /// The pinned exemplars, worst first (latency descending, ties by
@@ -440,76 +341,53 @@ impl PhaseStats {
     }
 }
 
-/// Per-worker accountant state, packed into 16 bytes so all workers'
-/// live state shares one cache line (the accountant's hottest data:
-/// every `task_start`/`preempt`/`task_finish` touches it, and the
-/// surrounding simulation streams a working set large enough to evict
-/// anything it doesn't keep tiny).
-///
-/// `packed` layout: bits 0..32 the on-core fiber (`NO_FIBER` when
-/// idle), bits 32..35 the mechanism-health flags, bit 35 the
-/// ledger-dirty marker ([`F_DIRTY`]: this fiber has charges in its
-/// [`Ledger`], so its finish must merge them), bits 36.. the
-/// switch-window duration `task_start` carried in, awaiting its
-/// segment close (saturated at [`SWITCH_MAX`]; any excess shows up as
-/// `Queued` residual). `mark_ns` is the open segment's start.
-#[derive(Debug, Clone, Copy)]
+/// Per-worker accountant state: the on-core fiber, the worker's
+/// mechanism-health flags, and the open segment.
+#[derive(Debug, Clone, Copy, Default)]
 struct WorkerAttr {
-    packed: u64,
+    /// The on-core fiber, if any.
+    fiber: Option<u32>,
+    /// A preemption retry is in flight on this worker.
+    stalled: bool,
+    /// The worker is degraded to the kernel signal path.
+    degraded: bool,
+    /// The worker is in the brownout tier.
+    brownout: bool,
+    /// The on-core fiber has charges in its [`Ledger`] (it was
+    /// preempted before, or a health change split its current slice),
+    /// so its finish must read and reset the ledger. A clean fiber's
+    /// whole breakdown is the open segment plus `switch_ns`.
+    dirty: bool,
+    /// The switch-window duration `task_start` carried in, not yet
+    /// charged to the fiber.
+    switch_ns: u32,
+    /// Start of the open segment.
     mark_ns: u64,
 }
 
-/// Health-flag bit: a preemption retry is in flight on this worker.
-const F_STALLED: u64 = 1 << 32;
-/// Health-flag bit: the worker is degraded to the signal path.
-const F_DEGRADED: u64 = 1 << 33;
-/// Health-flag bit: the worker is in the brownout tier.
-const F_BROWNOUT: u64 = 1 << 34;
-/// All health-flag bits.
-const F_HEALTH: u64 = F_STALLED | F_DEGRADED | F_BROWNOUT;
-/// The on-core fiber has charges in its [`Ledger`] (it was preempted
-/// before, or a health-flag change split its current slice), so its
-/// finish must read and reset the ledger. Never-preempted
-/// never-relabeled requests — the common case — skip the ledger
-/// entirely: their whole breakdown lives in the open segment.
-const F_DIRTY: u64 = 1 << 35;
-/// Bit offset of the pending switch-window duration.
-const SWITCH_SHIFT: u32 = 36;
-/// Pending switch durations saturate here (~268 ms — far beyond any
-/// plausible dispatch+switch window; the remainder is `Queued`).
-const SWITCH_MAX: u64 = (1 << (64 - SWITCH_SHIFT)) - 1;
-
-/// Phase label for each health-flag combination (index = bits 32..35
-/// of `packed`), encoding the priority stalled > degraded > brownout.
-const LABEL_LUT: [Phase; 8] = [
-    Phase::Running,        // 000
-    Phase::RetryStall,     // stalled
-    Phase::DegradedSignal, // degraded
-    Phase::RetryStall,     // stalled | degraded
-    Phase::BrownoutHeld,   // brownout
-    Phase::RetryStall,     // stalled | brownout
-    Phase::DegradedSignal, // degraded | brownout
-    Phase::RetryStall,     // all three
-];
-
 impl WorkerAttr {
-    /// The on-core fiber, or `NO_FIBER`.
-    #[inline]
-    fn fiber(self) -> u32 {
-        self.packed as u32
+    /// The phase the health flags select for on-core time (priority:
+    /// stalled > degraded > brownout > running).
+    fn label(&self) -> Phase {
+        if self.stalled {
+            Phase::RetryStall
+        } else if self.degraded {
+            Phase::DegradedSignal
+        } else if self.brownout {
+            Phase::BrownoutHeld
+        } else {
+            Phase::Running
+        }
     }
 
-    /// The phase label the current health flags select for on-core
-    /// time (priority: stalled > degraded > brownout > running).
-    #[inline]
-    fn label(self) -> Phase {
-        LABEL_LUT[((self.packed >> 32) & 7) as usize]
-    }
-}
-
-impl Default for WorkerAttr {
-    fn default() -> Self {
-        WorkerAttr { packed: u64::from(NO_FIBER), mark_ns: 0 }
+    /// Takes the fiber off the worker. A stall belongs to the slice and
+    /// ends with it; the worker-level degraded and brownout tiers
+    /// persist.
+    fn vacate(&mut self) {
+        self.fiber = None;
+        self.stalled = false;
+        self.dirty = false;
+        self.switch_ns = 0;
     }
 }
 
@@ -532,14 +410,14 @@ impl Default for Ledger {
 /// typed event stream.
 ///
 /// State is two flat arrays — one per-fiber phase ledger (context-pool
-/// index) and one packed per-worker record — grown once to the pool
-/// and worker-count high-water marks and then reused, so the
-/// steady-state hot path allocates nothing. Completion records skip
-/// the phases a request never entered; the implicit zeros fold into
-/// the histograms in O(phases) when the stats are read. Robust to arbitrary event streams (all arithmetic
-/// saturates; unknown fibers/workers grow the arrays; orphaned
-/// segments are defensively closed), and in-flight requests at end of
-/// run are simply censored: only completions reach [`PhaseStats`].
+/// index) and one per-worker record — grown once to the pool and
+/// worker-count high-water marks and then reused, so the steady-state
+/// path allocates nothing. Every completion records all six phases
+/// into [`PhaseStats`] at once, so the stats are complete at any read.
+/// Robust to arbitrary event streams (all arithmetic saturates;
+/// unknown fibers/workers grow the arrays; orphaned segments are
+/// defensively closed), and in-flight requests at end of run are
+/// simply censored: only completions reach [`PhaseStats`].
 #[derive(Debug, Clone, Default)]
 pub struct Attribution {
     enabled: bool,
@@ -572,24 +450,17 @@ impl Attribution {
         self.enabled
     }
 
-    /// The aggregated stats so far (seals deferred zero records first).
-    pub fn stats(&mut self) -> &PhaseStats {
-        self.flush();
+    /// The aggregated stats so far.
+    pub fn stats(&self) -> &PhaseStats {
         &self.stats
     }
 
     /// Takes the aggregated stats, leaving empty ones behind (live
     /// per-fiber/per-worker state is reset too).
     pub fn take_stats(&mut self) -> PhaseStats {
-        self.flush();
         self.workers.clear();
         self.ledgers.clear();
         std::mem::take(&mut *self.stats)
-    }
-
-    /// Restores the phase-count invariant the hot path defers.
-    fn flush(&mut self) {
-        self.stats.seal_zeros();
     }
 
     #[inline]
@@ -613,49 +484,34 @@ impl Attribution {
     /// the phase the health flags select (plus any pending
     /// switch-window duration), and starts the next segment.
     fn close_segment(&mut self, w: u16, at_ns: u64) {
-        let i = w as usize;
-        if i >= self.workers.len() {
+        let Some(&wa) = self.workers.get(w as usize) else {
             return;
-        }
-        let wa = self.workers[i];
-        if wa.fiber() == NO_FIBER {
+        };
+        let Some(fiber) = wa.fiber else {
             return;
-        }
-        let phase = wa.label();
-        let dur = at_ns.saturating_sub(wa.mark_ns);
-        let sd = wa.packed >> SWITCH_SHIFT;
-        let l = self.ledger_mut(wa.fiber());
-        let slot = &mut l.tracked_ns[phase as usize];
-        *slot = slot.saturating_add(dur);
-        if sd != 0 {
-            let s = &mut l.tracked_ns[Phase::PreemptSwitch as usize];
-            *s = s.saturating_add(sd);
-        }
-        let wa = &mut self.workers[i];
-        wa.packed = (wa.packed & !(SWITCH_MAX << SWITCH_SHIFT)) | F_DIRTY;
+        };
+        let l = self.ledger_mut(fiber);
+        let slot = &mut l.tracked_ns[wa.label() as usize];
+        *slot = slot.saturating_add(at_ns.saturating_sub(wa.mark_ns));
+        let s = &mut l.tracked_ns[Phase::PreemptSwitch as usize];
+        *s = s.saturating_add(u64::from(wa.switch_ns));
+        let wa = self.worker_mut(w);
+        wa.switch_ns = 0;
+        wa.dirty = true;
         wa.mark_ns = at_ns;
     }
 
-    /// Applies a health-flag change on `worker`: closes the open
-    /// segment only when the change would alter the phase label
-    /// (splitting a segment at an identical label charges the same
-    /// totals at strictly more cost — on the healthy path every
-    /// `preempt_landed` takes the single-compare no-op exit).
-    #[inline]
-    fn set_flags(&mut self, w: u16, at_ns: u64, set: u64, clear: u64) {
-        let wa = self.worker_mut(w);
-        let cur = wa.packed;
-        let next = (cur | set) & !clear;
-        if next == cur {
-            return;
-        }
-        let relabeled = LABEL_LUT[((next >> 32) & 7) as usize]
-            != LABEL_LUT[((cur >> 32) & 7) as usize];
-        if relabeled && cur as u32 != NO_FIBER {
+    /// Applies a health-flag change on `worker`, first closing the
+    /// open segment if the change alters the phase label (splitting a
+    /// segment at an unchanged label would charge the same totals).
+    fn set_health(&mut self, w: u16, at_ns: u64, change: impl Fn(&mut WorkerAttr)) {
+        let cur = *self.worker_mut(w);
+        let mut next = cur;
+        change(&mut next);
+        if cur.fiber.is_some() && next.label() != cur.label() {
             self.close_segment(w, at_ns);
         }
-        let wa = self.worker_mut(w);
-        wa.packed = (wa.packed & !F_HEALTH) | (next & F_HEALTH);
+        change(self.worker_mut(w));
     }
 
     /// Advances the accountant over one emitted event. Called by
@@ -669,88 +525,68 @@ impl Attribution {
         }
         match *ev {
             Event::TaskStart { worker, fiber, resumed, switch_ns } => {
-                if self.worker_mut(worker).fiber() != NO_FIBER {
-                    // Hostile stream: start over an open segment.
-                    self.close_segment(worker, at_ns);
-                }
+                // A no-op unless a hostile stream starts over an open
+                // segment.
+                self.close_segment(worker, at_ns);
                 let wa = self.worker_mut(worker);
-                // A fresh start clears any stall the previous occupant
-                // left; worker-level degraded/brownout tiers persist. A
-                // resumed fiber already has ledger charges from its
-                // preempted slices, so it starts dirty.
-                wa.packed = u64::from(fiber)
-                    | (wa.packed & (F_DEGRADED | F_BROWNOUT))
-                    | if resumed { F_DIRTY } else { 0 }
-                    | (u64::from(switch_ns) << SWITCH_SHIFT);
+                wa.vacate();
+                wa.fiber = Some(fiber);
+                // A resumed fiber already has ledger charges from its
+                // preempted slices.
+                wa.dirty = resumed;
+                wa.switch_ns = switch_ns;
                 wa.mark_ns = at_ns;
             }
             Event::Preempt { worker, .. } => {
                 self.close_segment(worker, at_ns);
-                let wa = self.worker_mut(worker);
-                wa.packed = (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
+                self.worker_mut(worker).vacate();
             }
             Event::TaskFinish { worker, fiber, latency_ns } => {
                 let wa = *self.worker_mut(worker);
-                if wa.fiber() == fiber && wa.packed & F_DIRTY == 0 {
+                let mut phase_ns = if wa.fiber == Some(fiber) && !wa.dirty {
                     // Common case: the request ran in one clean slice —
-                    // never preempted, never relabeled. Its whole
+                    // never preempted, never relabeled — so its
                     // breakdown is the open segment plus the switch
-                    // window; the ledger was never touched and no
-                    // breakdown array is needed.
-                    let label_ns = at_ns.saturating_sub(wa.mark_ns);
-                    let switch_ns = wa.packed >> SWITCH_SHIFT;
-                    let queued_ns =
-                        latency_ns.saturating_sub(label_ns.saturating_add(switch_ns));
-                    {
-                        let wa = self.worker_mut(worker);
-                        wa.packed =
-                            (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
-                    }
-                    self.stats.record_parts(
-                        wa.label(),
-                        label_ns,
-                        switch_ns,
-                        queued_ns,
-                        latency_ns,
-                        fiber,
-                        worker,
-                        at_ns,
-                    );
+                    // window, and its ledger was never touched.
+                    let mut p = [0u64; Phase::COUNT];
+                    p[wa.label() as usize] = at_ns.saturating_sub(wa.mark_ns);
+                    p[Phase::PreemptSwitch as usize] = u64::from(wa.switch_ns);
+                    p
                 } else {
                     self.close_segment(worker, at_ns);
-                    let l = self.ledger_mut(fiber);
-                    let mut phase_ns = l.tracked_ns;
-                    *l = Ledger::default();
-                    {
-                        let wa = self.worker_mut(worker);
-                        wa.packed =
-                            (wa.packed & (F_DEGRADED | F_BROWNOUT)) | u64::from(NO_FIBER);
-                    }
-                    let tracked = phase_ns.iter().fold(0u64, |a, &b| a.saturating_add(b));
-                    phase_ns[Phase::Queued as usize] = latency_ns.saturating_sub(tracked);
-                    self.stats.record_hot(Exemplar {
-                        fiber,
-                        worker,
-                        finished_at_ns: at_ns,
-                        latency_ns,
-                        phase_ns,
-                    });
-                }
+                    std::mem::take(&mut self.ledger_mut(fiber).tracked_ns)
+                };
+                self.worker_mut(worker).vacate();
+                let tracked = phase_ns.iter().fold(0u64, |a, &b| a.saturating_add(b));
+                phase_ns[Phase::Queued as usize] = latency_ns.saturating_sub(tracked);
+                self.stats.record(Exemplar {
+                    fiber,
+                    worker,
+                    finished_at_ns: at_ns,
+                    latency_ns,
+                    phase_ns,
+                });
             }
             Event::PreemptRetry { worker, .. } => {
-                self.set_flags(worker, at_ns, F_STALLED, 0);
+                self.set_health(worker, at_ns, |w| w.stalled = true);
             }
             Event::PreemptLanded { worker, .. } => {
-                self.set_flags(worker, at_ns, 0, F_STALLED | F_BROWNOUT);
+                self.set_health(worker, at_ns, |w| {
+                    w.stalled = false;
+                    w.brownout = false;
+                });
             }
             Event::MechDegraded { worker, .. } => {
-                self.set_flags(worker, at_ns, F_DEGRADED, F_BROWNOUT);
+                self.set_health(worker, at_ns, |w| {
+                    w.degraded = true;
+                    w.brownout = false;
+                });
             }
             Event::MechRecovered { worker } => {
-                self.set_flags(worker, at_ns, 0, F_DEGRADED);
+                self.set_health(worker, at_ns, |w| w.degraded = false);
             }
             Event::MechBrownout { worker, .. } => {
-                self.set_flags(worker, at_ns, F_BROWNOUT, 0);
+                self.set_health(worker, at_ns, |w| w.brownout = true);
             }
             _ => {}
         }
@@ -888,6 +724,17 @@ mod tests {
         assert_eq!(ex.phase(Phase::PreemptSwitch), 200);
         assert_eq!(ex.phase(Phase::Queued), 4_000);
         assert_eq!(ex.phase_sum(), 6_000);
+    }
+
+    #[test]
+    fn long_switch_window_is_charged_in_full() {
+        let mut a = Attribution::new();
+        let switch_ns = 1u32 << 28;
+        a.observe(0, &Event::TaskStart { worker: 0, fiber: 3, resumed: false, switch_ns });
+        a.observe(100, &Event::TaskFinish { worker: 0, fiber: 3, latency_ns: 1 << 29 });
+        let ex = a.stats().worst().unwrap();
+        assert_eq!(ex.phase(Phase::PreemptSwitch), 1 << 28);
+        assert_eq!(ex.phase_sum(), ex.latency_ns);
     }
 
     #[test]

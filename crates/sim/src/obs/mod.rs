@@ -85,7 +85,7 @@ impl Observer {
     }
 
     /// The tail-attribution accountant's aggregated stats so far.
-    pub fn phases(&mut self) -> &PhaseStats {
+    pub fn phases(&self) -> &PhaseStats {
         self.attr.stats()
     }
 

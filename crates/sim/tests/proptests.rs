@@ -2,9 +2,11 @@
 //! including the wheel-vs-heap oracle that pins the hierarchical
 //! timing wheel to a naive sorted-scan model, plus the JSONL
 //! event-schema roundtrip that keeps `write_jsonl`/`parse_jsonl`
-//! inverse of each other for every variant of the vocabulary.
+//! inverse of each other for every variant of the vocabulary, and the
+//! tail-attribution accountant's phase-count invariant under arbitrary
+//! event streams.
 
-use lp_sim::obs::{Event, TimedEvent};
+use lp_sim::obs::{Attribution, Event, Phase, TimedEvent};
 use lp_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
 
@@ -244,6 +246,34 @@ proptest! {
             "reordered line unparseable: {}",
             rotated
         );
+    }
+}
+
+proptest! {
+    /// The accountant survives any event stream, and every completion
+    /// records into every phase histogram: each phase count equals the
+    /// end-to-end count, which equals the number of `TaskFinish`
+    /// events. Workers and fibers are drawn from small ranges so
+    /// starts, preemptions, health changes and finishes collide.
+    #[test]
+    fn attribution_counts_every_phase_of_every_finish(
+        evs in proptest::collection::vec(
+            (0u8..EVENT_VARIANTS, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()),
+            0..200,
+        ),
+    ) {
+        let mut attr = Attribution::new();
+        let mut finishes = 0u64;
+        for &(sel, t, a, b, c, flag) in &evs {
+            let ev = event_from(sel, a % 4, b % 16, c, flag);
+            finishes += u64::from(matches!(ev, Event::TaskFinish { .. }));
+            attr.observe(t, &ev);
+        }
+        let stats = attr.stats();
+        prop_assert_eq!(stats.end_to_end.count(), finishes);
+        for p in Phase::ALL {
+            prop_assert_eq!(stats.per_phase[p as usize].count(), finishes, "phase {}", p.name());
+        }
     }
 }
 
