@@ -33,8 +33,8 @@ fn bench_event_queue(c: &mut Criterion) {
     // The LibUtimer arming pattern: every task start arms a preemption
     // deadline, most tasks complete before it fires, so the hot loop is
     // push → cancel → re-arm. With tombstones this left a dead entry in
-    // the heap per iteration; generation-tagged slots make cancel O(1)
-    // and keep the heap at O(live).
+    // the heap per iteration; cancel now removes the entry at its
+    // recorded heap position and keeps the heap at O(live).
     g.bench_function("arm_cancel_rearm_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(64);
@@ -72,87 +72,6 @@ fn bench_event_queue(c: &mut Criterion) {
                 q.cancel(id); // stale: the event already fired
             }
             black_box(q.live_len())
-        })
-    });
-    g.finish();
-}
-
-fn bench_wheel(c: &mut Criterion) {
-    // Cascade stress: deadlines scattered across every wheel level and
-    // the overflow heap, so draining exercises level rollover, bucket
-    // refiling, and heap migration — the paths a heap-only queue never
-    // had.
-    let mut g = c.benchmark_group("wheel_cascade");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("all_levels_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            let mut r = lp_sim::rng::rng(6, 0);
-            for i in 0..10_000u64 {
-                // Log-uniform-ish spread: every level of the 2^40 ns
-                // horizon gets traffic, plus ~3% overflow residents.
-                let t = r.gen_range(0..1u64 << 41) >> r.gen_range(0..30);
-                q.push(SimTime::from_nanos(t), i);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    // A long march of evenly spaced deadlines: every pop advances the
-    // cursor across slot (and periodically level-window) boundaries, so
-    // this isolates steady cascade cost rather than bucket drain cost.
-    g.bench_function("rollover_march_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_nanos(i * 4_096), i);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    g.finish();
-
-    // Collision stress: many events landing in one bucket. Drain order
-    // within a bucket must still follow (time, seq), so these measure
-    // the intrusive-list walk and the cached-minimum recompute under
-    // worst-case occupancy skew.
-    let mut g = c.benchmark_group("bucket_collision");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("same_tick_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            for i in 0..10_000u64 {
-                q.push(SimTime::from_nanos(777), i);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
-    g.bench_function("one_window_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            let mut r = lp_sim::rng::rng(7, 0);
-            for i in 0..10_000u64 {
-                // All inside one level-2 window (one bucket from the
-                // cursor's viewpoint); pops cascade it down through
-                // level 1 into level 0.
-                q.push(SimTime::from_nanos(r.gen_range(4_096..8_192)), i);
-            }
-            let mut n = 0u64;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
         })
     });
     g.finish();
@@ -294,7 +213,6 @@ fn bench_runtime(c: &mut Criterion) {
 criterion_group!(
     engine,
     bench_event_queue,
-    bench_wheel,
     bench_histogram,
     bench_workload,
     bench_tracing,

@@ -136,8 +136,7 @@ fn probe_run(faults: FaultPlan, admission: AdmissionConfig, attribution: bool) -
             source: ServiceSource::Phased(PhasedService::constant(ServiceDist::workload_b())),
             arrivals: RateSchedule::Constant(300_000.0),
             // Long enough that the <2% overhead gate sits above the
-            // host's scheduling-noise floor now that the timing-wheel
-            // engine drains this run several times faster.
+            // host's scheduling-noise floor.
             duration: SimDur::millis(200),
             warmup: SimDur::millis(5),
         },

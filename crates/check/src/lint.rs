@@ -603,8 +603,8 @@ fn lint_file(rel: &str, source: &str, vocab: &BTreeSet<String>, report: &mut Lin
                         line,
                         format!(
                             "hot-path growth token `{token}` in the event engine core — \
-                             the pop/arm/cascade paths must only move pre-allocated \
-                             nodes (or extend rules::HOT_ALLOC_ALLOWLIST with a \
+                             the push/pop/cancel paths must only move pre-allocated \
+                             entries (or extend rules::HOT_ALLOC_ALLOWLIST with a \
                              written amortization argument)"
                         ),
                         false,
@@ -1040,12 +1040,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_alloc_rule_is_scoped_to_the_wheel_core() {
+    fn hot_alloc_rule_is_scoped_to_the_event_queue() {
         let vocab = BTreeSet::new();
         // The allowlisted (file, token) pair: reported, but suppressed.
         let mut r = LintReport::default();
         lint_file(
-            "crates/sim/src/wheel.rs",
+            "crates/sim/src/queue.rs",
             "self.heap.push(entry);\n",
             &vocab,
             &mut r,
@@ -1056,7 +1056,7 @@ mod tests {
         // An unlisted growth token in a hot file fails the build.
         let mut r = LintReport::default();
         lint_file(
-            "crates/sim/src/wheel.rs",
+            "crates/sim/src/queue.rs",
             "let b = Box::new(node);\nlet m = HashMap::default();\n",
             &vocab,
             &mut r,
@@ -1084,11 +1084,11 @@ mod tests {
             "{}",
             r.human()
         );
-        // Moving nodes between intrusive lists is clean.
+        // Moving entries within the heap array is clean.
         let mut r = LintReport::default();
         lint_file(
-            "crates/sim/src/wheel.rs",
-            "self.nodes[prev as usize].next = next;\n",
+            "crates/sim/src/queue.rs",
+            "self.heap[pos] = e;\nself.nodes[e.node as usize].pos = pos as u32;\n",
             &vocab,
             &mut r,
         );

@@ -33,9 +33,9 @@ pub enum RuleId {
     /// Watchdog retry/degrade/recover state changes only through
     /// `RetryMachine::step`, never raw field writes.
     RetryTransition,
-    /// No allocation in the event engine's pop/arm/cascade hot paths:
-    /// container-growth tokens are banned from the wheel core outside a
-    /// documented static allowlist.
+    /// No allocation in the event engine's push/pop/cancel hot paths:
+    /// container-growth tokens are banned from the event queue outside
+    /// a documented static allowlist.
     HotAlloc,
     /// The chaos adversary (plan sampling, search moves, evaluation)
     /// must draw all randomness from the frozen `streams::CHAOS`
@@ -140,10 +140,10 @@ impl RuleId {
                  typed transition function and voids the explored guarantees"
             }
             RuleId::HotAlloc => {
-                "the wheel's arm/cancel/re-arm and pop/cascade paths are the per-event \
+                "the event queue's arm/cancel/re-arm and pop paths are the per-event \
                  cost the paper's fast timers depend on; a stray Box, map insert, or \
-                 growing collection there turns O(1) pointer moves back into allocator \
-                 traffic, so growth tokens are confined to the audited slab/overflow \
+                 growing collection there turns in-place sifts back into allocator \
+                 traffic, so growth tokens are confined to the audited heap/slab \
                  sites in rules::HOT_ALLOC_ALLOWLIST"
             }
             RuleId::ChaosRng => {
@@ -325,17 +325,16 @@ pub const ATTRIBUTION_EVENTS: [&str; 4] =
     ["TaskStart", "TaskFinish", "Preempt", "SwitchBegin"];
 
 /// The files [`RuleId::HotAlloc`] polices: the event engine's hot
-/// core — the hierarchical timing wheel and its `EventQueue` facade.
-/// Everything on the pop/arm/cancel/cascade path lives in these two
-/// files; the engine driver and utimer layers above them only move
-/// already-allocated values.
-pub const HOT_ALLOC_FILES: [&str; 2] = ["crates/sim/src/queue.rs", "crates/sim/src/wheel.rs"];
+/// core, the indexed binary heap behind `EventQueue`. Everything on
+/// the push/pop/cancel path lives in this file; the engine driver and
+/// utimer layers above it only move already-allocated values.
+pub const HOT_ALLOC_FILES: [&str; 1] = ["crates/sim/src/queue.rs"];
 
 /// Allocation / container-growth tokens banned from
 /// [`HOT_ALLOC_FILES`] (matched on identifier boundaries against
 /// comment- and string-stripped code, like [`NONDET_TOKENS`]). The hot
-/// path may only move nodes between intrusive lists, the slab
-/// freelist, and the pre-sized overflow heap.
+/// path may only move entries within the pre-sized heap array and
+/// nodes on and off the slab freelist.
 pub const HOT_ALLOC_TOKENS: [&str; 10] = [
     "BTreeMap",
     "Box::new",
@@ -354,20 +353,13 @@ pub const HOT_ALLOC_TOKENS: [&str; 10] = [
 /// keeps on purpose. Hits here are reported as suppressed diagnostics
 /// so the audit trail stays visible; any other banned token in
 /// [`HOT_ALLOC_FILES`] fails the build.
-pub const HOT_ALLOC_ALLOWLIST: [(&str, &[&str], &str); 2] = [
-    (
-        "crates/sim/src/queue.rs",
-        &["push"],
-        "the facade's `push` API delegates to the wheel and grows no container of its own",
-    ),
-    (
-        "crates/sim/src/wheel.rs",
-        &["push"],
-        "the two deliberate growth points: slab extension when the freelist is dry and \
-         far-future filing into the overflow heap — both amortized to zero in steady \
-         state by `with_capacity` pre-sizing (pinned by the million-re-arm slab test)",
-    ),
-];
+pub const HOT_ALLOC_ALLOWLIST: [(&str, &[&str], &str); 1] = [(
+    "crates/sim/src/queue.rs",
+    &["push"],
+    "the `push` API itself and its two growth points: the heap array gains one entry per \
+     pending event and the slab grows only when the freelist is dry — both stay within \
+     the `with_capacity` pre-sizing in steady state (pinned by the million-re-arm slab test)",
+)];
 
 /// The documented reason `file` may contain `token` despite
 /// [`RuleId::HotAlloc`], if the static allowlist covers the pair.
@@ -439,10 +431,10 @@ mod tests {
 
     #[test]
     fn hot_alloc_allowlist_lookup() {
-        assert!(hot_alloc_allowance("crates/sim/src/wheel.rs", "push").is_some());
+        assert!(hot_alloc_allowance("crates/sim/src/queue.rs", "push").is_some());
         // Per (file, token): other growth tokens in the hot files, and
         // `push` anywhere else, are not covered.
-        assert!(hot_alloc_allowance("crates/sim/src/wheel.rs", "Box::new").is_none());
+        assert!(hot_alloc_allowance("crates/sim/src/queue.rs", "Box::new").is_none());
         assert!(hot_alloc_allowance("crates/sim/src/engine.rs", "push").is_none());
         for (file, tokens, why) in HOT_ALLOC_ALLOWLIST {
             assert!(!why.is_empty(), "{file} allowance has no reason");

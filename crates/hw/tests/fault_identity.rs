@@ -66,14 +66,15 @@ proptest! {
         for (i, &(kind, vector, rstate)) in ops.iter().enumerate() {
             // Exercise every injection site each step: a rate-0 plan
             // must never produce a decision anywhere.
-            let ipi = inj.ipi();
+            let at = SimTime::from_nanos(i as u64);
+            let now = at.as_nanos();
+            let ipi = inj.ipi(now);
             prop_assert_eq!(ipi, None, "op {}: rate-0 plan injected an IPI fault", i);
-            prop_assert_eq!(inj.timer(), None, "op {}: timer fault", i);
-            prop_assert_eq!(inj.signal(), None, "op {}: signal fault", i);
-            prop_assert_eq!(inj.core(), None, "op {}: core fault", i);
+            prop_assert_eq!(inj.timer(now), None, "op {}: timer fault", i);
+            prop_assert_eq!(inj.signal(now), None, "op {}: signal fault", i);
+            prop_assert_eq!(inj.core(now), None, "op {}: core fault", i);
 
             let r = receiver(rstate);
-            let at = SimTime::from_nanos(i as u64);
             let worker = u16::from(vector);
             match kind {
                 0..=2 => {
@@ -121,12 +122,13 @@ proptest! {
     ) {
         let mut a = FaultInjector::new(plan.clone(), seeds.0);
         let mut b = FaultInjector::new(plan, seeds.1);
-        for &s in &sites {
+        for (i, &s) in sites.iter().enumerate() {
+            let now = i as u64 * 1_000;
             match s {
-                0 => prop_assert_eq!((a.ipi(), b.ipi()), (None, None)),
-                1 => prop_assert_eq!((a.timer(), b.timer()), (None, None)),
-                2 => prop_assert_eq!((a.signal(), b.signal()), (None, None)),
-                _ => prop_assert_eq!((a.core(), b.core()), (None, None)),
+                0 => prop_assert_eq!((a.ipi(now), b.ipi(now)), (None, None)),
+                1 => prop_assert_eq!((a.timer(now), b.timer(now)), (None, None)),
+                2 => prop_assert_eq!((a.signal(now), b.signal(now)), (None, None)),
+                _ => prop_assert_eq!((a.core(now), b.core(now)), (None, None)),
             }
         }
     }

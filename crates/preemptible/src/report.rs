@@ -14,11 +14,16 @@ pub struct RunReport {
     pub offered_rps: f64,
     /// Measured run length.
     pub duration: SimDur,
-    /// Requests that arrived (after warmup).
+    /// Requests that arrived over the whole run, warmup included.
     pub arrivals: u64,
-    /// Requests that completed (after warmup).
+    /// Requests that completed over the whole run, warmup included
+    /// (the latency histograms, by contrast, skip requests that arrived
+    /// during warmup).
     pub completions: u64,
-    /// Requests dropped on context-pool exhaustion.
+    /// Requests refused over the whole run, warmup included: dropped
+    /// on context-pool exhaustion plus shed by the admission gate.
+    /// [`is_conserved`](Self::is_conserved) relies on all three counts
+    /// covering the same span.
     pub dropped: u64,
     /// Requests still in flight at the end.
     pub in_flight: u64,
@@ -28,7 +33,8 @@ pub struct RunReport {
     /// lower bound they put on the true worst-case response — see
     /// [`worst_case_ns`](Self::worst_case_ns).
     pub oldest_inflight_ns: u64,
-    /// End-to-end latency of all completed requests.
+    /// End-to-end latency of completed requests that arrived after
+    /// warmup.
     pub latency: Histogram,
     /// Latency split by workload class (class 0 = LC, 1 = BE).
     pub latency_by_class: Vec<Histogram>,

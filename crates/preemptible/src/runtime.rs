@@ -654,7 +654,7 @@ impl LibPreemptibleSystem {
                 let fault = self
                     .injector
                     .as_mut()
-                    .and_then(|i| i.timer_at(start.as_nanos()));
+                    .and_then(|i| i.timer(start.as_nanos()));
                 if let Some(f) = fault {
                     self.note_fault(start, worker, f.kind());
                 }
@@ -799,7 +799,7 @@ impl LibPreemptibleSystem {
 
         let mut remaining = remaining;
         if let Some(CoreFault::Hog(stall)) =
-            self.injector.as_mut().and_then(|i| i.core_at(start.as_nanos()))
+            self.injector.as_mut().and_then(|i| i.core(start.as_nanos()))
         {
             // The core stalls mid-slice: the fiber burns `stall` extra
             // on-CPU time and no preemption can land inside the window.
@@ -1023,7 +1023,7 @@ impl LibPreemptibleSystem {
         ctx: &mut Ctx<'_, Ev>,
     ) {
         self.note_issue(at, worker, seq, attempt, true);
-        let fault = self.injector.as_mut().and_then(|i| i.ipi_at(at.as_nanos()));
+        let fault = self.injector.as_mut().and_then(|i| i.ipi(at.as_nanos()));
         if let Some(f) = fault {
             self.note_fault(at, worker, f.kind());
         }
@@ -1077,7 +1077,7 @@ impl LibPreemptibleSystem {
         ctx: &mut Ctx<'_, Ev>,
     ) {
         self.note_issue(at, worker, seq, attempt, false);
-        let fault = self.injector.as_mut().and_then(|i| i.signal_at(at.as_nanos()));
+        let fault = self.injector.as_mut().and_then(|i| i.signal(at.as_nanos()));
         if let Some(f) = fault {
             self.note_fault(at, worker, f.kind());
         }
@@ -1650,13 +1650,17 @@ pub fn run(cfg: RuntimeConfig, policy: Box<dyn SchedPolicy>, spec: WorkloadSpec)
         0
     };
 
-    // Pre-size the event queue's node slab from the arrival-rate hint:
-    // the live event population is bounded by in-flight requests
-    // (~100 us of peak arrivals, capped by the context pool) plus a
-    // deadline and a finish event per worker and the arrival/control
-    // ticks. With the slab warm the wheel's arm/cancel/re-arm cycle
-    // recycles nodes from the freelist and never allocates mid-run
-    // (pinned by `million_rearm_cycles_do_not_grow_the_slab`).
+    // Pre-size the event queue's heap and node slab from the
+    // arrival-rate hint: the live event population is bounded by
+    // in-flight requests (~100 us of peak arrivals, capped by the
+    // context pool) plus a deadline and a finish event per worker and
+    // the arrival/control ticks. The measured population is far
+    // smaller (a mean of 7-8 pending events per pop on the perfbench
+    // runtime workloads, at most 18); only a saturated per-worker
+    // dispatcher, whose backlog is held as pending `Dispatched`
+    // events, outgrows the hint. Within it the queue never grows
+    // mid-run and its arm/cancel/re-arm cycle recycles nodes from the
+    // freelist (pinned by `million_rearm_cycles_do_not_grow_the_slab`).
     let queue_hint = 64
         + cfg.workers * 4
         + ((offered * 1e-4) as usize).min(cfg.pool_capacity);

@@ -118,8 +118,8 @@ impl<M: Model> Simulation<M> {
     /// Creates a simulation whose event queue is pre-sized for
     /// `capacity` concurrently scheduled events (see
     /// [`EventQueue::with_capacity`]). Runtimes derive the hint from
-    /// their offered arrival rate so the wheel's node slab reaches
-    /// steady state during warm-up and never grows mid-run.
+    /// their offered arrival rate so the queue's heap and node slab
+    /// never grow mid-run.
     pub fn with_capacity(model: M, capacity: usize) -> Self {
         Simulation {
             model,

@@ -130,20 +130,9 @@ pub enum Site {
 }
 
 impl Site {
-    /// Every site, in the frozen index order used by reports and the
-    /// injector's internal arrays. JSON exports iterate this array, so
-    /// per-site counters always serialize in the same byte order.
+    /// Every site, in the frozen index order of the injector's
+    /// internal arrays.
     pub const ALL: [Site; 4] = [Site::Ipi, Site::Timer, Site::Signal, Site::Core];
-
-    /// Stable snake_case label (the JSON key of per-site counters).
-    pub const fn name(self) -> &'static str {
-        match self {
-            Site::Ipi => "ipi",
-            Site::Timer => "timer",
-            Site::Signal => "signal",
-            Site::Core => "core",
-        }
-    }
 }
 
 /// A time-bounded rate boost: while `from_ns <= now < until_ns`, `rate`
@@ -486,10 +475,6 @@ pub struct FaultInjector {
     /// Per-site "the plan has windows for this site" flags; the common
     /// windowless plan never touches the window list on a decision.
     windowed: [bool; 4],
-    /// Per-kind injection counts, indexed by the `u8` wire value —
-    /// exported in frozen [`FaultKind::ALL`] order so corpus diffs are
-    /// byte-stable.
-    injected: [u64; FaultKind::ALL.len()],
 }
 
 const fn site_index(site: Site) -> usize {
@@ -523,23 +508,11 @@ impl FaultInjector {
             totals,
             scheduled,
             windowed,
-            injected: [0; FaultKind::ALL.len()],
         }
     }
 
-    /// The plan this injector samples.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Decide the fate of the next `SENDUIPI` (windows evaluated at
-    /// sim time zero; windowless plans are unaffected).
-    pub fn ipi(&mut self) -> Option<IpiFault> {
-        self.ipi_at(0)
-    }
-
     /// Decide the fate of the next `SENDUIPI` at sim time `now_ns`.
-    pub fn ipi_at(&mut self, now_ns: u64) -> Option<IpiFault> {
+    pub fn ipi(&mut self, now_ns: u64) -> Option<IpiFault> {
         let kind = self.decide(Site::Ipi, now_ns)?;
         Some(match kind {
             FaultKind::IpiDrop => IpiFault::Drop,
@@ -551,14 +524,8 @@ impl FaultInjector {
         })
     }
 
-    /// Decide the fate of the next kernel-timer arming (windows
-    /// evaluated at sim time zero).
-    pub fn timer(&mut self) -> Option<TimerFault> {
-        self.timer_at(0)
-    }
-
     /// Decide the fate of the next kernel-timer arming at `now_ns`.
-    pub fn timer_at(&mut self, now_ns: u64) -> Option<TimerFault> {
+    pub fn timer(&mut self, now_ns: u64) -> Option<TimerFault> {
         let kind = self.decide(Site::Timer, now_ns)?;
         Some(match kind {
             FaultKind::TimerMiss => TimerFault::Miss,
@@ -570,14 +537,8 @@ impl FaultInjector {
         })
     }
 
-    /// Decide the fate of the next kernel-signal delivery (windows
-    /// evaluated at sim time zero).
-    pub fn signal(&mut self) -> Option<SignalFault> {
-        self.signal_at(0)
-    }
-
     /// Decide the fate of the next kernel-signal delivery at `now_ns`.
-    pub fn signal_at(&mut self, now_ns: u64) -> Option<SignalFault> {
+    pub fn signal(&mut self, now_ns: u64) -> Option<SignalFault> {
         let kind = self.decide(Site::Signal, now_ns)?;
         Some(match kind {
             FaultKind::SignalLost => SignalFault::Lost,
@@ -588,14 +549,8 @@ impl FaultInjector {
         })
     }
 
-    /// Decide the fate of the next task launch on a worker core
-    /// (windows evaluated at sim time zero).
-    pub fn core(&mut self) -> Option<CoreFault> {
-        self.core_at(0)
-    }
-
     /// Decide the fate of the next task launch at `now_ns`.
-    pub fn core_at(&mut self, now_ns: u64) -> Option<CoreFault> {
+    pub fn core(&mut self, now_ns: u64) -> Option<CoreFault> {
         let kind = self.decide(Site::Core, now_ns)?;
         Some(match kind {
             FaultKind::CoreHog => CoreFault::Hog(SimDur::nanos(self.plan.core_hog_ns)),
@@ -628,7 +583,6 @@ impl FaultInjector {
                 .iter()
                 .find(|s| s.kind.site() == site && s.occurrence == n)
             {
-                self.injected[s.kind as usize] += 1;
                 return Some(s.kind);
             }
         }
@@ -662,50 +616,10 @@ impl FaultInjector {
                     .sum::<f64>();
             }
             if x < acc {
-                self.injected[k as usize] += 1;
                 return Some(k);
             }
         }
         None
-    }
-
-    /// Per-site decision counts in frozen [`Site::ALL`] order.
-    pub fn site_decisions(&self) -> [(&'static str, u64); 4] {
-        [
-            (Site::Ipi.name(), self.ipi_n),
-            (Site::Timer.name(), self.timer_n),
-            (Site::Signal.name(), self.signal_n),
-            (Site::Core.name(), self.core_n),
-        ]
-    }
-
-    /// Per-kind injection counts in frozen [`FaultKind::ALL`] (wire)
-    /// order.
-    pub fn injected_counts(&self) -> [(&'static str, u64); FaultKind::ALL.len()] {
-        let mut out = [("", 0u64); FaultKind::ALL.len()];
-        for (i, &k) in FaultKind::ALL.iter().enumerate() {
-            out[i] = (k.name(), self.injected[k as usize]);
-        }
-        out
-    }
-
-    /// One JSON object with the per-site decision counts and per-kind
-    /// injection counts, keys in frozen declaration order — never map
-    /// order — so replay reports diff byte-for-byte.
-    pub fn occurrences_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"sites\":{");
-        for (i, (name, n)) in self.site_decisions().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{name}\":{n}");
-        }
-        out.push_str("},\"injected\":{");
-        for (i, (name, n)) in self.injected_counts().iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{name}\":{n}");
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -741,10 +655,10 @@ mod tests {
     fn disabled_plan_never_injects() {
         let mut inj = FaultInjector::new(FaultPlan::disabled(), 42);
         for _ in 0..100 {
-            assert_eq!(inj.ipi(), None);
-            assert_eq!(inj.timer(), None);
-            assert_eq!(inj.signal(), None);
-            assert_eq!(inj.core(), None);
+            assert_eq!(inj.ipi(0), None);
+            assert_eq!(inj.timer(0), None);
+            assert_eq!(inj.signal(0), None);
+            assert_eq!(inj.core(0), None);
         }
     }
 
@@ -760,27 +674,27 @@ mod tests {
         let mut a = FaultInjector::new(plan.clone(), 7);
         let mut b = FaultInjector::new(plan, 7);
         for _ in 0..200 {
-            assert_eq!(a.ipi(), b.ipi());
-            assert_eq!(a.timer(), b.timer());
-            assert_eq!(a.signal(), b.signal());
-            assert_eq!(a.core(), b.core());
+            assert_eq!(a.ipi(0), b.ipi(0));
+            assert_eq!(a.timer(0), b.timer(0));
+            assert_eq!(a.signal(0), b.signal(0));
+            assert_eq!(a.core(0), b.core(0));
         }
     }
 
     #[test]
     fn schedule_fires_exactly_once_at_its_occurrence() {
         let mut inj = FaultInjector::new(FaultPlan::once(FaultKind::StuckSn, 2), 1);
-        assert_eq!(inj.ipi(), None);
-        assert_eq!(inj.ipi(), None);
-        assert_eq!(inj.ipi(), Some(IpiFault::StuckSn));
+        assert_eq!(inj.ipi(0), None);
+        assert_eq!(inj.ipi(0), None);
+        assert_eq!(inj.ipi(0), Some(IpiFault::StuckSn));
         for _ in 0..32 {
-            assert_eq!(inj.ipi(), None);
+            assert_eq!(inj.ipi(0), None);
         }
         // Scheduling at the IPI site does not disturb the others.
         let mut inj = FaultInjector::new(FaultPlan::once(FaultKind::IpiDrop, 0), 1);
-        assert_eq!(inj.timer(), None);
-        assert_eq!(inj.signal(), None);
-        assert_eq!(inj.ipi(), Some(IpiFault::Drop));
+        assert_eq!(inj.timer(0), None);
+        assert_eq!(inj.signal(0), None);
+        assert_eq!(inj.ipi(0), Some(IpiFault::Drop));
     }
 
     #[test]
@@ -794,16 +708,16 @@ mod tests {
         plan.core_hog = 1.0;
         plan.core_hog_ns = 999;
         let mut inj = FaultInjector::new(plan, 3);
-        assert_eq!(inj.ipi(), Some(IpiFault::Delay(SimDur::nanos(777))));
-        assert_eq!(inj.timer(), Some(TimerFault::JitterSpike(SimDur::nanos(888))));
-        assert_eq!(inj.signal(), Some(SignalFault::ContentionBurst(9)));
-        assert_eq!(inj.core(), Some(CoreFault::Hog(SimDur::nanos(999))));
+        assert_eq!(inj.ipi(0), Some(IpiFault::Delay(SimDur::nanos(777))));
+        assert_eq!(inj.timer(0), Some(TimerFault::JitterSpike(SimDur::nanos(888))));
+        assert_eq!(inj.signal(0), Some(SignalFault::ContentionBurst(9)));
+        assert_eq!(inj.core(0), Some(CoreFault::Hog(SimDur::nanos(999))));
     }
 
     #[test]
     fn probabilistic_rate_hits_near_expectation() {
         let mut inj = FaultInjector::new(FaultPlan::only(FaultKind::SignalLost, 0.5), 11);
-        let hits = (0..2_000).filter(|_| inj.signal().is_some()).count();
+        let hits = (0..2_000).filter(|_| inj.signal(0).is_some()).count();
         assert!((800..1_200).contains(&hits), "{hits} hits at rate 0.5");
     }
 
@@ -818,7 +732,7 @@ mod tests {
         assert!(armed.enabled());
         assert!(armed.site_armed(Site::Ipi));
         let mut inj = FaultInjector::new(armed, 9);
-        assert_eq!(inj.ipi(), Some(IpiFault::Drop), "occurrence 0 is the first decision");
+        assert_eq!(inj.ipi(0), Some(IpiFault::Drop), "occurrence 0 is the first decision");
 
         let dead = FaultPlan::only(FaultKind::IpiDrop, 0.0);
         assert!(!dead.enabled());
@@ -834,19 +748,18 @@ mod tests {
     fn windows_fire_only_while_open() {
         let plan = FaultPlan::windowed(FaultKind::SignalLost, 1.0, 1_000, 2_000);
         let mut inj = FaultInjector::new(plan, 17);
-        assert_eq!(inj.signal_at(999), None);
-        assert_eq!(inj.signal_at(1_000), Some(SignalFault::Lost));
-        assert_eq!(inj.signal_at(1_999), Some(SignalFault::Lost));
-        assert_eq!(inj.signal_at(2_000), None, "until_ns is exclusive");
+        assert_eq!(inj.signal(999), None);
+        assert_eq!(inj.signal(1_000), Some(SignalFault::Lost));
+        assert_eq!(inj.signal(1_999), Some(SignalFault::Lost));
+        assert_eq!(inj.signal(2_000), None, "until_ns is exclusive");
         // Other sites are untouched by the window.
-        assert_eq!(inj.ipi_at(1_500), None);
+        assert_eq!(inj.ipi(1_500), None);
     }
 
     #[test]
-    fn windowless_plans_sample_identically_through_the_timed_api() {
-        // The timed decision path must be a strict extension: with no
-        // windows, `*_at(now)` consumes the RNG exactly like the
-        // original untimed methods, whatever `now` is.
+    fn windowless_plans_sample_identically_at_any_time() {
+        // With no windows the decision time is irrelevant: the RNG is
+        // consumed exactly as at time zero, whatever `now` is.
         let plan = {
             let mut p = FaultPlan::only(FaultKind::IpiDrop, 0.3);
             p.signal_lost = 0.4;
@@ -855,36 +768,9 @@ mod tests {
         let mut a = FaultInjector::new(plan.clone(), 23);
         let mut b = FaultInjector::new(plan, 23);
         for i in 0..200u64 {
-            assert_eq!(a.ipi(), b.ipi_at(i * 1_000));
-            assert_eq!(a.signal(), b.signal_at(i * 7_777));
+            assert_eq!(a.ipi(0), b.ipi(i * 1_000));
+            assert_eq!(a.signal(0), b.signal(i * 7_777));
         }
-    }
-
-    #[test]
-    fn occurrence_export_is_fixed_order() {
-        let mut plan = FaultPlan::only(FaultKind::IpiDrop, 1.0);
-        plan.core_hog = 1.0;
-        let mut inj = FaultInjector::new(plan, 4);
-        for _ in 0..3 {
-            inj.ipi();
-        }
-        inj.core();
-        inj.timer();
-        let sites = inj.site_decisions();
-        assert_eq!(sites[0], ("ipi", 3));
-        assert_eq!(sites[1], ("timer", 1));
-        assert_eq!(sites[2], ("signal", 0));
-        assert_eq!(sites[3], ("core", 1));
-        let injected = inj.injected_counts();
-        assert_eq!(injected[0], ("ipi_drop", 3));
-        assert_eq!(injected[10], ("core_hog", 1));
-        // The JSON export iterates the frozen arrays, so its bytes are
-        // a pure function of the counts — never map order.
-        let json = inj.occurrences_json();
-        assert!(json.starts_with(
-            "{\"sites\":{\"ipi\":3,\"timer\":1,\"signal\":0,\"core\":1},\"injected\":{\"ipi_drop\":3,"
-        ));
-        assert!(json.ends_with("\"core_hog\":1}}"));
     }
 
     #[test]
@@ -895,16 +781,16 @@ mod tests {
         }
         let mut inj = FaultInjector::new(plan, 5);
         for _ in 0..200 {
-            if let Some(f) = inj.ipi() {
+            if let Some(f) = inj.ipi(0) {
                 assert_eq!(f.kind().site(), Site::Ipi);
             }
-            if let Some(f) = inj.timer() {
+            if let Some(f) = inj.timer(0) {
                 assert_eq!(f.kind().site(), Site::Timer);
             }
-            if let Some(f) = inj.signal() {
+            if let Some(f) = inj.signal(0) {
                 assert_eq!(f.kind().site(), Site::Signal);
             }
-            if let Some(f) = inj.core() {
+            if let Some(f) = inj.core(0) {
                 assert_eq!(f.kind().site(), Site::Core);
             }
         }

@@ -7,8 +7,11 @@
 //!
 //! Design rules enforced here:
 //!
-//! * **Total event order** — the [`EventQueue`] breaks time ties by
-//!   scheduling order, so runs are reproducible.
+//! * **Total event order** — the [`EventQueue`], an indexed binary
+//!   min-heap over `(time, seq)` keys, breaks time ties by scheduling
+//!   order, so runs are reproducible. Its slab nodes record their heap
+//!   positions, so cancelling a re-armed deadline removes the entry in
+//!   place instead of leaving a tombstone.
 //! * **Causality** — models schedule through [`Ctx`], which rejects
 //!   scheduling into the past.
 //! * **Determinism** — all randomness flows through [`rng`] substreams of
@@ -76,7 +79,6 @@ pub mod par;
 mod queue;
 pub mod rng;
 mod time;
-mod wheel;
 
 pub use engine::{Ctx, Model, Simulation};
 pub use queue::{EventId, EventQueue};

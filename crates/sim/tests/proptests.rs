@@ -1,6 +1,6 @@
 //! Property tests for the event queue and engine ordering guarantees,
-//! including the wheel-vs-heap oracle that pins the hierarchical
-//! timing wheel to a naive sorted-scan model, plus the JSONL
+//! including the oracle that pins the indexed-heap `EventQueue` to a
+//! naive sorted-scan model, plus the JSONL
 //! event-schema roundtrip that keeps `write_jsonl`/`parse_jsonl`
 //! inverse of each other for every variant of the vocabulary, and the
 //! tail-attribution accountant's phase-count invariant under arbitrary
@@ -19,8 +19,9 @@ enum Op {
     Pop,
 }
 
-/// Times spanning every wheel regime: level 0, mid levels, the 2^36
-/// overflow horizon on both sides, and far-future heap residents.
+/// Times from dense same-instant ties through microsecond and second
+/// spreads to far-future values, so pops, ties and cancels meet at
+/// every key magnitude.
 fn time_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..64,
@@ -40,12 +41,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// The wheel-vs-heap oracle: the timing-wheel queue agrees with a
-    /// naive O(n)-scan model on every pop, peek, and live count, for
-    /// arbitrary interleavings of push/cancel/pop across all wheel
-    /// levels and the overflow heap.
+    /// The queue agrees with a naive O(n)-scan model on every pop,
+    /// peek, and live count, for arbitrary interleavings of
+    /// push/cancel/pop.
     #[test]
-    fn wheel_matches_naive_oracle(ops in proptest::collection::vec(op_strategy(), 1..250)) {
+    fn queue_matches_naive_oracle(ops in proptest::collection::vec(op_strategy(), 1..250)) {
         let mut q = EventQueue::new();
         // Oracle entries: (time, seq, alive). Pops select the minimum
         // (time, seq) — exactly the packed-u128 key order.

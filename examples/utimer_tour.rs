@@ -1,12 +1,12 @@
-//! A tour of the low-level building blocks: LibUtimer deadline slots,
-//! the timing wheel, and the UINTR architectural state machine — the
-//! pieces §IV builds LibPreemptible out of.
+//! A tour of the low-level building blocks: LibUtimer deadline slots
+//! and the UINTR architectural state machine — the pieces §IV builds
+//! LibPreemptible out of.
 //!
 //! ```text
 //! cargo run --release --example utimer_tour
 //! ```
 
-use libpreemptible::utimer::{TimingWheel, UtimerRegistry};
+use libpreemptible::utimer::UtimerRegistry;
 use lp_hw::uintr::{ReceiverState, SendOutcome, UintrDomain, Uitt};
 use lp_sim::obs::Observer;
 use lp_sim::SimTime;
@@ -34,18 +34,6 @@ fn main() {
     }
     println!("expiry order (poll-time, worker): {fired:?}");
     assert_eq!(fired.len(), 4);
-
-    // --- Timing wheel for large thread counts (§IV-A, [64]) ---
-    let mut wheel = TimingWheel::new(1_000); // 1 us ticks
-    for i in 0..1_000u64 {
-        wheel.insert(SimTime::from_nanos(1_000 * (i % 97 + 1)), i);
-    }
-    let due = wheel.advance(SimTime::from_nanos(50_000));
-    println!(
-        "timing wheel: {} of 1000 deadlines due within 50 us, {} still filed",
-        due.len(),
-        wheel.len()
-    );
 
     // --- The UINTR state machine underneath (§III-A, Fig. 3) ---
     let mut dom = UintrDomain::new();
